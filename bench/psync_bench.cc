@@ -128,8 +128,8 @@ usage(std::FILE *to)
         "--native runs the selected scenarios on the real-thread\n"
         "backend (default --threads 2,4) and records host wall-time\n"
         "instead of simulated cycles; --forbid-heap-fallback fails\n"
-        "a sim sweep if any run demoted calendar events to the\n"
-        "heap. Sim runs apply the IR transform passes\n"
+        "a sim sweep or --report if any run demoted calendar events\n"
+        "to the heap. Sim runs apply the IR transform passes\n"
         "(redundant-wait elimination + peephole) by default;\n"
         "--no-passes runs each scenario's config as registered\n"
         "(verifier only), reproducing pre-pipeline cycle counts\n"
@@ -645,6 +645,21 @@ runFuzzReplay(const Options &opts)
     return 1;
 }
 
+/** Report a run whose handlers spilled to the heap; true if so. */
+bool
+heapFellBack(const std::string &id, const core::RunResult &run)
+{
+    if (run.heapFallbackEvents == 0)
+        return false;
+    std::fprintf(stderr,
+                 "heap fallback: %s demoted %llu events from the "
+                 "calendar core\n",
+                 id.c_str(),
+                 static_cast<unsigned long long>(
+                     run.heapFallbackEvents));
+    return true;
+}
+
 /** The Fig. 3.2 scenario --report defaults to. */
 const char *const kDefaultReportScenario = "fig32-jitter/statement";
 
@@ -666,10 +681,13 @@ runReports(const Options &opts)
     }
 
     core::json::Value reports = core::json::array();
+    bool fell_back = false;
     for (const auto *scenario : selected) {
         core::TraceRecorder recorder;
         bench::ScenarioRecord record = bench::runScenario(
             *scenario, &recorder, benchPasses(opts));
+        if (opts.forbidHeapFallback)
+            fell_back |= heapFellBack(scenario->id, record.result.run);
         core::BlameReport blame = core::buildBlameReport(
             recorder, record.result.run, record.boundCycles);
 
@@ -693,7 +711,7 @@ runReports(const Options &opts)
         if (!writeJsonFile(opts.reportJsonPath, doc))
             return 2;
     }
-    return 0;
+    return fell_back ? 1 : 0;
 }
 
 } // namespace
@@ -926,18 +944,9 @@ main(int argc, char **argv)
 
     if (opts.forbidHeapFallback) {
         bool fell_back = false;
-        for (std::size_t i = 0; i < selected.size(); ++i) {
-            if (records[i].result.run.heapFallbackEvents == 0)
-                continue;
-            fell_back = true;
-            std::fprintf(
-                stderr,
-                "heap fallback: %s demoted %llu events from the "
-                "calendar core\n",
-                selected[i]->id.c_str(),
-                static_cast<unsigned long long>(
-                    records[i].result.run.heapFallbackEvents));
-        }
+        for (std::size_t i = 0; i < selected.size(); ++i)
+            fell_back |= heapFellBack(selected[i]->id,
+                                      records[i].result.run);
         if (fell_back)
             return 1;
     }

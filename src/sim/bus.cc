@@ -30,8 +30,13 @@ Bus::transact(ProcId who, GrantHandler on_done)
 void
 Bus::transact(ProcId who, GrantHandler on_grant, GrantHandler on_done)
 {
-    pending.push_back(Request{who, eventq.now(), std::move(on_grant),
-                              std::move(on_done)});
+    std::uint32_t slot = requests.alloc();
+    Request &req = requests[slot];
+    req.who = who;
+    req.issued = eventq.now();
+    req.onGrant = std::move(on_grant);
+    req.onDone = std::move(on_done);
+    pending.push_back(slot);
     maxQueueStat.updateMax(static_cast<double>(pending.size()));
     PSYNC_TRACE(tracer,
                 counterSample(name_ + ".queue_depth", eventq.now(),
@@ -49,8 +54,9 @@ Bus::grantNext()
     }
     granting = true;
 
-    Request req = std::move(pending.front());
+    std::uint32_t slot = pending.front();
     pending.pop_front();
+    Request &req = requests[slot];
 
     Tick grant = std::max(eventq.now(), freeAt);
     Tick done = grant + cyclesPerTxn;
@@ -71,15 +77,16 @@ Bus::grantNext()
 
     // grant == now() here: arbitration happens either immediately
     // on request or right as the previous transaction completes.
-    if (req.onGrant)
-        req.onGrant(grant);
-
-    inflightDone = std::move(req.onDone);
-    inflightGrant = grant;
-    eventq.schedule(done, [this]() {
-        GrantHandler handler = std::move(inflightDone);
-        Tick granted = inflightGrant;
-        handler(granted);
+    if (req.onGrant) {
+        // Moved out first: the hook may queue on this bus, which can
+        // grow the slab under `req`.
+        GrantHandler on_grant = std::move(req.onGrant);
+        on_grant(grant);
+    }
+    eventq.schedule(done, [this, slot, grant]() {
+        GrantHandler handler = std::move(requests[slot].onDone);
+        requests.free(slot);
+        handler(grant);
         grantNext();
     });
 }

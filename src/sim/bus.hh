@@ -22,6 +22,7 @@
 #include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
+#include "sim/wait_set.hh"
 
 namespace psync {
 namespace sim {
@@ -103,8 +104,8 @@ class Bus : public Interconnect
   private:
     struct Request
     {
-        ProcId who;
-        Tick issued;
+        ProcId who = 0;
+        Tick issued = 0;
         GrantHandler onGrant;
         GrantHandler onDone;
     };
@@ -117,15 +118,13 @@ class Bus : public Interconnect
     Tracer *tracer;
     Tick freeAt = 0;
     bool granting = false;
-    std::deque<Request> pending;
     /**
-     * The granted transaction's completion callback. At most one
-     * transaction drives the bus at a time (`granting`), so its
-     * done event only needs to capture `this` — keeping the event
-     * inside the queue's inline handler storage.
+     * Queued and in-flight requests. Handlers stay in their slot
+     * until they run; the FIFO and the done event carry the slot.
      */
-    GrantHandler inflightDone;
-    Tick inflightGrant = 0;
+    Slab<Request> requests;
+    /** Slots of requests waiting for a grant, FIFO. */
+    std::deque<std::uint32_t> pending;
 
     stats::Scalar numTransactions;
     stats::Scalar busyCyclesStat;

@@ -1,6 +1,6 @@
 #include "sim/cluster_fabric.hh"
 
-#include <algorithm>
+#include <map>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -18,6 +18,7 @@ HierarchicalSyncFabric::HierarchicalSyncFabric(
       capacity_(capacity),
       coalesceEnabled(coalesce),
       tracer(trace),
+      ops(eq),
       localBroadcastsStat("syncfab.hier.local_broadcasts"),
       globalBroadcastsStat("syncfab.hier.global_broadcasts"),
       coalescedLocalStat("syncfab.hier.coalesced_local"),
@@ -32,9 +33,6 @@ HierarchicalSyncFabric::HierarchicalSyncFabric(
     procsPerCluster_ = (num_procs + n - 1) / n;
     if (procsPerCluster_ == 0)
         procsPerCluster_ = 1;
-    images.resize(n);
-    waiters.resize(n);
-    localIncs.resize(n);
 }
 
 SyncVarId
@@ -45,72 +43,25 @@ HierarchicalSyncFabric::allocate(unsigned count, SyncWord init_value)
               "more, have %u of %u", count, numVars, capacity_);
     SyncVarId first = numVars;
     values.resize(numVars + count, init_value);
-    for (unsigned c = 0; c < numClusters(); ++c) {
-        images[c].resize(numVars + count, init_value);
-        waiters[c].resize(numVars + count);
-    }
+    images.resize(std::size_t{numVars + count} * numClusters(),
+                  init_value);
     numVars += count;
     return first;
-}
-
-void
-HierarchicalSyncFabric::pushReady(ReadyOp op)
-{
-    readyOps.push_back(std::move(op));
-    eventq.scheduleIn(0, [this]() { runReady(); });
-}
-
-void
-HierarchicalSyncFabric::runReady()
-{
-    ReadyOp op = std::move(readyOps.front());
-    readyOps.pop_front();
-    switch (op.kind) {
-      case ReadyOp::Kind::wake:
-        op.onWait(op.waited);
-        return;
-      case ReadyOp::Kind::readValue:
-        op.onValue(op.value);
-        return;
-      case ReadyOp::Kind::writeDone:
-        op.onDone();
-        return;
-    }
 }
 
 void
 HierarchicalSyncFabric::commitCluster(unsigned c, SyncVarId var,
                                       SyncWord value)
 {
-    images[c][var] = value;
-    auto &wait_list = waiters[c][var];
-    if (wait_list.empty())
-        return;
-    std::vector<Waiter> still_waiting;
-    still_waiting.reserve(wait_list.size());
-    for (auto &w : wait_list) {
-        if (images[c][var] >= w.threshold) {
-            ++wakeupsStat;
-            if (tracer) {
-                auto it = activeWaiters.find(var);
-                if (it != activeWaiters.end() && --it->second == 0)
-                    activeWaiters.erase(it);
-            }
-            Tick waited = eventq.now() - w.started;
-            if (waited > 0) {
-                PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
-                                             eventq.now()));
-            }
-            ReadyOp ready;
-            ready.kind = ReadyOp::Kind::wake;
-            ready.waited = waited;
-            ready.onWait = std::move(w.onDone);
-            pushReady(std::move(ready));
-        } else {
-            still_waiting.push_back(std::move(w));
+    SyncVarId word = wordOf(c, var);
+    images[word] = value;
+    ops.release(word, value, [&](ProcId who, Tick started) {
+        ++wakeupsStat;
+        if (eventq.now() > started) {
+            PSYNC_TRACE(tracer,
+                        waitEdge(var, who, started, eventq.now()));
         }
-    }
-    wait_list.swap(still_waiting);
+    });
 }
 
 void
@@ -119,25 +70,14 @@ HierarchicalSyncFabric::waitGE(ProcId who, SyncVarId var,
 {
     ++localReadsStat;
     unsigned c = clusterOf(who);
+    SyncVarId word = wordOf(c, var);
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (cluster %u image %llu)",
                   who, var,
                   static_cast<unsigned long long>(threshold), c,
-                  static_cast<unsigned long long>(images[c][var]));
+                  static_cast<unsigned long long>(images[word]));
     PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
-    if (images[c][var] >= threshold) {
-        ReadyOp ready;
-        ready.kind = ReadyOp::Kind::wake;
-        ready.waited = 0;
-        ready.onWait = std::move(on_done);
-        pushReady(std::move(ready));
-        return;
-    }
-    if (tracer)
-        ++activeWaiters[var];
-    waiters[c][var].push_back(Waiter{who, threshold, eventq.now(),
-                                     nextWaiterSeq++,
-                                     std::move(on_done)});
+    ops.wait(who, word, threshold, images[word], std::move(on_done));
 }
 
 void
@@ -145,42 +85,25 @@ HierarchicalSyncFabric::read(ProcId who, SyncVarId var,
                              ValueHandler on_done)
 {
     ++localReadsStat;
-    ReadyOp ready;
-    ready.kind = ReadyOp::Kind::readValue;
-    ready.value = images[clusterOf(who)][var];
-    ready.onValue = std::move(on_done);
-    pushReady(std::move(ready));
+    ops.ready(ops.hold(std::move(on_done)),
+              images[wordOf(clusterOf(who), var)]);
 }
 
 void
 HierarchicalSyncFabric::forwardGlobal(ProcId who, unsigned c,
                                       SyncVarId var, SyncWord value)
 {
-    std::uint64_t gkey = pairKey(c, var);
-    auto it = pendingGlobal.find(gkey);
-    if (coalesceEnabled && it != pendingGlobal.end() &&
-        it->second.valid) {
+    PendingWrite &pw = pendingGlobal[pairKey(c, var)];
+    if (!pw.post(value, coalesceEnabled)) {
         // A global broadcast of this variable from this cluster is
         // still waiting for the stage; the newer value covers it.
-        it->second.value = value;
         ++coalescedGlobalStat;
         return;
     }
-    auto &pw = pendingGlobal[gkey];
-    pw.value = value;
-    pw.valid = true;
+    PendingWrite *entry = &pw;
     globalBus.transact(
-        who,
-        [this, gkey](Tick) {
-            auto &entry = pendingGlobal[gkey];
-            entry.latched = entry.value;
-            entry.valid = false;
-        },
-        [this, gkey](Tick) {
-            SyncVarId var_id =
-                static_cast<SyncVarId>(gkey & 0xffffffffu);
-            commitGlobal(var_id, pendingGlobal[gkey].latched);
-        });
+        who, [entry](Tick) { entry->latch(); },
+        [this, var, entry](Tick) { commitGlobal(var, entry->latched); });
 }
 
 void
@@ -198,44 +121,28 @@ HierarchicalSyncFabric::write(ProcId who, SyncVarId var,
                               SyncWord value, DoneHandler on_done)
 {
     unsigned c = clusterOf(who);
-    std::uint64_t key = pairKey(who, var);
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (cluster %u)", who, var,
                   static_cast<unsigned long long>(value), c);
     PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
-    auto it = pendingLocal.find(key);
-    if (coalesceEnabled && it != pendingLocal.end() &&
-        it->second.valid) {
-        it->second.value = value;
+    PendingWrite &pw = pendingLocal[pairKey(who, var)];
+    if (!pw.post(value, coalesceEnabled)) {
         ++coalescedLocalStat;
         PSYNC_TRACE(tracer,
                     syncVarOp(var, "coalesced", who, eventq.now()));
     } else {
-        auto &pw = pendingLocal[key];
-        pw.value = value;
-        pw.valid = true;
+        PendingWrite *entry = &pw;
         clusterBuses[c]->transact(
-            who,
-            [this, key](Tick) {
-                auto &entry = pendingLocal[key];
-                entry.latched = entry.value;
-                entry.valid = false;
-            },
-            [this, key, c](Tick) {
-                ProcId writer = static_cast<ProcId>(key >> 32);
-                SyncVarId var_id =
-                    static_cast<SyncVarId>(key & 0xffffffffu);
+            who, [entry](Tick) { entry->latch(); },
+            [this, who, var, c, entry](Tick) {
                 ++localBroadcastsStat;
-                SyncWord committed = pendingLocal[key].latched;
-                commitCluster(c, var_id, committed);
-                forwardGlobal(writer, c, var_id, committed);
+                SyncWord committed = entry->latched;
+                commitCluster(c, var, committed);
+                forwardGlobal(who, c, var, committed);
             });
     }
     // Posted write: the issuing processor continues immediately.
-    ReadyOp ready;
-    ready.kind = ReadyOp::Kind::writeDone;
-    ready.onDone = std::move(on_done);
-    pushReady(std::move(ready));
+    ops.writeDone(std::move(on_done));
 }
 
 void
@@ -248,13 +155,8 @@ HierarchicalSyncFabric::applyIncBatch()
     SyncWord count = static_cast<SyncWord>(batch.members.size());
     // Pre-values are handed out FIFO in batch-join order, exactly
     // as a serialized global stage would have granted them.
-    for (std::size_t i = 0; i < batch.members.size(); ++i) {
-        ReadyOp ready;
-        ready.kind = ReadyOp::Kind::readValue;
-        ready.value = base + i;
-        ready.onValue = std::move(batch.members[i]);
-        pushReady(std::move(ready));
-    }
+    for (std::size_t i = 0; i < batch.members.size(); ++i)
+        ops.ready(batch.members[i], base + i);
     SyncWord committed = base + count;
     values[batch.var] = committed;
     for (unsigned c = 0; c < numClusters(); ++c)
@@ -267,39 +169,27 @@ HierarchicalSyncFabric::fetchInc(ProcId who, SyncVarId var,
 {
     unsigned c = clusterOf(who);
     PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
-    // The handler rests in the per-cluster FIFO (local buses grant
-    // FIFO) so the bus closure captures only plain words.
-    localIncs[c].push_back(std::move(on_done));
-    clusterBuses[c]->transact(who, [this, who, var, c](Tick) {
-        ValueHandler handler = std::move(localIncs[c].front());
-        localIncs[c].pop_front();
+    // The handler rests in a held slot, so the bus closure
+    // captures only plain words.
+    std::uint32_t slot = ops.hold(std::move(on_done));
+    clusterBuses[c]->transact(who, [this, who, var, c, slot](Tick) {
         ++localBroadcastsStat;
-        std::uint64_t bkey = pairKey(c, var);
-        auto it = openIncs.find(bkey);
-        if (it != openIncs.end() && it->second.valid) {
+        std::vector<std::uint32_t> &batch = openIncs[pairKey(c, var)];
+        batch.push_back(slot);
+        if (batch.size() > 1) {
             // The cluster engine already has a global fetch&add
             // queued for this variable: join its batch.
-            it->second.members.push_back(std::move(handler));
             ++combinedIncsStat;
             return;
         }
-        auto &batch = openIncs[bkey];
-        batch.valid = true;
-        batch.members.clear();
-        batch.members.push_back(std::move(handler));
+        std::vector<std::uint32_t> *open = &batch;
         globalBus.transact(
             who,
-            [this, bkey](Tick) {
+            [this, var, open](Tick) {
                 // Grant closes the batch: the transaction on the
                 // wire carries exactly the joined members.
-                auto &open = openIncs[bkey];
-                InflightBatch inflight;
-                inflight.var =
-                    static_cast<SyncVarId>(bkey & 0xffffffffu);
-                inflight.members = std::move(open.members);
-                open.members.clear();
-                open.valid = false;
-                inflightIncs.push_back(std::move(inflight));
+                inflightIncs.push_back({var, std::move(*open)});
+                open->clear();
             },
             [this](Tick) { applyIncBatch(); });
     });
@@ -316,13 +206,17 @@ HierarchicalSyncFabric::poke(SyncVarId var, SyncWord value)
 {
     values[var] = value;
     for (unsigned c = 0; c < numClusters(); ++c)
-        images[c][var] = value;
+        images[wordOf(c, var)] = value;
 }
 
 void
 HierarchicalSyncFabric::sampleTimeline(Tracer &t, Tick at) const
 {
-    for (const auto &entry : activeWaiters) {
+    std::map<SyncVarId, std::size_t> blocked;
+    ops.waiting().forEachVar([&](SyncVarId word, std::size_t count) {
+        blocked[word / numClusters()] += count;
+    });
+    for (const auto &entry : blocked) {
         t.sample(SampleStream::syncVarWaiters, entry.first, at,
                  static_cast<double>(entry.second));
     }

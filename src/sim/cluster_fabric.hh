@@ -135,60 +135,25 @@ class HierarchicalSyncFabric : public SyncFabric
     void registerStats(stats::Group &group) const override;
 
   private:
-    struct Waiter
-    {
-        ProcId who;
-        SyncWord threshold;
-        Tick started;
-        /** FIFO ordering among waiters of the same variable. */
-        std::uint64_t seq;
-        WaitHandler onDone;
-    };
-
-    struct PendingWrite
-    {
-        SyncWord value;
-        /** Value captured when the broadcast won its bus. */
-        SyncWord latched = 0;
-        bool valid = false;
-    };
-
-    /** Open fetch&add batch of one (cluster, var) pair. */
-    struct IncBatch
-    {
-        std::vector<ValueHandler> members;
-        bool valid = false;
-    };
-
     /** Latched batch in flight on the global bus (FIFO). */
     struct InflightBatch
     {
         SyncVarId var = 0;
-        std::vector<ValueHandler> members;
-    };
-
-    /** Deferred completion, one scheduled event per entry (FIFO). */
-    struct ReadyOp
-    {
-        enum class Kind : std::uint8_t
-        {
-            wake,
-            readValue,
-            writeDone,
-        };
-
-        Kind kind = Kind::wake;
-        Tick waited = 0;
-        SyncWord value = 0;
-        WaitHandler onWait;
-        ValueHandler onValue;
-        DoneHandler onDone;
+        /** Held handler slots, in join order. */
+        std::vector<std::uint32_t> members;
     };
 
     static std::uint64_t
     pairKey(std::uint32_t hi, std::uint32_t lo)
     {
         return (static_cast<std::uint64_t>(hi) << 32) | lo;
+    }
+
+    /** Index of cluster `c`'s copy of `var` in `images`. */
+    SyncVarId
+    wordOf(unsigned c, SyncVarId var) const
+    {
+        return var * numClusters() + c;
     }
 
     /** Commit `value` into cluster `c`'s image; wake its waiters. */
@@ -200,8 +165,6 @@ class HierarchicalSyncFabric : public SyncFabric
     void commitGlobal(SyncVarId var, SyncWord value);
     /** Apply the oldest latched fetch&add batch at global done. */
     void applyIncBatch();
-    void pushReady(ReadyOp op);
-    void runReady();
 
     EventQueue &eventq;
     std::vector<Bus *> clusterBuses;
@@ -211,28 +174,28 @@ class HierarchicalSyncFabric : public SyncFabric
     bool coalesceEnabled;
     Tracer *tracer;
     unsigned numVars = 0;
-    std::uint64_t nextWaiterSeq = 0;
 
     /** Authoritative values, serialized by the global stage. */
     std::vector<SyncWord> values;
-    /** Per-cluster local images. */
-    std::vector<std::vector<SyncWord>> images;
-    /** Waiters spinning on cluster images: [cluster][var]. */
-    std::vector<std::vector<std::vector<Waiter>>> waiters;
-    /** Blocked waiters per var (tracer-gated timeline shadow). */
-    std::unordered_map<SyncVarId, unsigned> activeWaiters;
+    /**
+     * Cluster images, var-major: a global commit touches every
+     * cluster's copy of one variable, so the copies sit together.
+     */
+    std::vector<SyncWord> images;
+    /** Handlers and waiters; waiters park on their wordOf(). */
+    ImageOps ops;
     /** Pending local write per (proc, var). */
     std::unordered_map<std::uint64_t, PendingWrite> pendingLocal;
     /** Pending global write per (cluster, var). */
     std::unordered_map<std::uint64_t, PendingWrite> pendingGlobal;
-    /** Open fetch&add batch per (cluster, var). */
-    std::unordered_map<std::uint64_t, IncBatch> openIncs;
+    /**
+     * Open fetch&add batch per (cluster, var): the held slots that
+     * joined it, empty once its global transaction is granted.
+     */
+    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
+        openIncs;
     /** Latched batches awaiting global completion, bus FIFO. */
     std::deque<InflightBatch> inflightIncs;
-    /** Fetch&add handlers staged per cluster (local buses grant
-     *  FIFO), so bus closures never capture fat handlers. */
-    std::vector<std::deque<ValueHandler>> localIncs;
-    std::deque<ReadyOp> readyOps;
 
     stats::Scalar localBroadcastsStat;
     stats::Scalar globalBroadcastsStat;

@@ -44,31 +44,6 @@ CombiningSyncFabric::allocate(unsigned count, SyncWord init_value)
     return first;
 }
 
-std::uint32_t
-CombiningSyncFabric::allocOp()
-{
-    std::uint32_t slot;
-    if (freeOps != noOp) {
-        slot = freeOps;
-        freeOps = ops[slot].next;
-        ops[slot] = OpState{};
-    } else {
-        slot = static_cast<std::uint32_t>(ops.size());
-        ops.emplace_back();
-    }
-    return slot;
-}
-
-void
-CombiningSyncFabric::freeOp(std::uint32_t slot)
-{
-    ops[slot].onWait = WaitHandler{};
-    ops[slot].onDone = DoneHandler{};
-    ops[slot].onValue = ValueHandler{};
-    ops[slot].next = freeOps;
-    freeOps = slot;
-}
-
 bool
 CombiningSyncFabric::route(std::uint32_t slot, CombineClass cls)
 {
@@ -114,24 +89,18 @@ CombiningSyncFabric::fireOp(std::uint32_t slot)
 {
     OpState &op = ops[slot];
     switch (op.kind) {
-      case OpState::Kind::read: {
+      case OpState::Kind::read:
+      case OpState::Kind::rmw: {
         ValueHandler handler = std::move(op.onValue);
         SyncWord value = op.value;
-        freeOp(slot);
+        ops.free(slot);
         handler(value);
         return;
       }
       case OpState::Kind::write: {
         DoneHandler handler = std::move(op.onDone);
-        freeOp(slot);
+        ops.free(slot);
         handler();
-        return;
-      }
-      case OpState::Kind::rmw: {
-        ValueHandler handler = std::move(op.onValue);
-        SyncWord value = op.value;
-        freeOp(slot);
-        handler(value);
         return;
       }
       case OpState::Kind::poll: {
@@ -141,7 +110,7 @@ CombiningSyncFabric::fireOp(std::uint32_t slot)
             PSYNC_TRACE(tracer, waitEdge(op.var, op.who, op.started,
                                          eventq.now()));
         }
-        freeOp(slot);
+        ops.free(slot);
         handler(waited);
         return;
       }
@@ -151,27 +120,12 @@ CombiningSyncFabric::fireOp(std::uint32_t slot)
 void
 CombiningSyncFabric::release(SyncVarId var, SyncWord value, Tick done)
 {
-    auto it = parked.find(var);
-    if (it == parked.end())
-        return;
-    auto &list = it->second;
-    std::vector<std::uint32_t> still;
-    still.reserve(list.size());
-    for (std::uint32_t slot : list) {
-        OpState &w = ops[slot];
-        if (value >= w.value) {
-            ++wakeupsStat;
-            parkedProcs.erase(w.who);
-            w.completion = done;
-            eventq.schedule(done, [this, slot]() { fireOp(slot); });
-        } else {
-            still.push_back(slot);
-        }
-    }
-    if (still.empty())
-        parked.erase(it);
-    else
-        list.swap(still);
+    parked.release(var, value, [this, done](std::uint32_t slot) {
+        ++wakeupsStat;
+        parkedProcs.erase(ops[slot].who);
+        ops[slot].completion = done;
+        eventq.schedule(done, [this, slot]() { fireOp(slot); });
+    });
 }
 
 void
@@ -183,7 +137,7 @@ CombiningSyncFabric::waitGE(ProcId who, SyncVarId var,
                   "proc %u wait v%u >= %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(threshold));
     PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::poll;
     op.who = who;
@@ -204,7 +158,7 @@ CombiningSyncFabric::waitGE(ProcId who, SyncVarId var,
     // this packet valid) until release() schedules its wake.
     ++parkedStat;
     parkedProcs.insert(who);
-    parked[var].push_back(slot);
+    parked.park(var, threshold, slot);
 }
 
 void
@@ -213,7 +167,7 @@ CombiningSyncFabric::read(ProcId who, SyncVarId var,
 {
     ++readsStat;
     PSYNC_TRACE(tracer, syncVarOp(var, "poll", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::read;
     op.who = who;
@@ -234,7 +188,7 @@ CombiningSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
                   "proc %u write v%u = %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(value));
     PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::write;
     op.who = who;
@@ -256,7 +210,7 @@ CombiningSyncFabric::fetchInc(ProcId who, SyncVarId var,
 {
     ++rmwsStat;
     PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::rmw;
     op.who = who;
@@ -299,12 +253,10 @@ CombiningSyncFabric::hotSpotRatio() const
 void
 CombiningSyncFabric::sampleTimeline(Tracer &t, Tick at) const
 {
-    for (const auto &entry : parked) {
-        if (!entry.second.empty()) {
-            t.sample(SampleStream::syncVarWaiters, entry.first, at,
-                     static_cast<double>(entry.second.size()));
-        }
-    }
+    parked.forEachVar([&](SyncVarId var, std::size_t count) {
+        t.sample(SampleStream::syncVarWaiters, var, at,
+                 static_cast<double>(count));
+    });
     network.sampleTimeline(t, at);
 }
 

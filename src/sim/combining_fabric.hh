@@ -29,7 +29,6 @@
 #define PSYNC_SIM_COMBINING_FABRIC_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -140,13 +139,8 @@ class CombiningSyncFabric : public SyncFabric
         WaitHandler onWait;
         DoneHandler onDone;
         ValueHandler onValue;
-        std::uint32_t next = noOp;
     };
 
-    static constexpr std::uint32_t noOp = ~0u;
-
-    std::uint32_t allocOp();
-    void freeOp(std::uint32_t slot);
     void fireOp(std::uint32_t slot);
 
     /**
@@ -168,16 +162,14 @@ class CombiningSyncFabric : public SyncFabric
 
     std::vector<SyncWord> values;
     std::vector<Tick> moduleFreeAt;
-    std::vector<OpState> ops;
-    std::uint32_t freeOps = noOp;
+    Slab<OpState> ops;
 
     /**
-     * Parked op slots per variable, FIFO by park order. A parked
-     * poll keeps its slab slot (it anchors the wait handler and any
-     * combining references to its packet id) until release() wakes
-     * it.
+     * Parked polls, by threshold. A parked poll keeps its slab slot
+     * (it anchors the wait handler and any combining references to
+     * its packet id) until release() wakes it.
      */
-    std::unordered_map<SyncVarId, std::vector<std::uint32_t>> parked;
+    WaitSet parked;
     /** Processors currently parked (timeline sampling). */
     std::unordered_set<ProcId> parkedProcs;
 

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -34,32 +35,6 @@ EventQueue::occupiedBuckets() const
 }
 
 void
-EventQueue::pushFar(Event event)
-{
-    far_.push_back(std::move(event));
-    std::push_heap(far_.begin(), far_.end(),
-                   [](const Event &a, const Event &b) {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    });
-}
-
-EventQueue::Event
-EventQueue::popFar()
-{
-    std::pop_heap(far_.begin(), far_.end(),
-                  [](const Event &a, const Event &b) {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    });
-    Event event = std::move(far_.back());
-    far_.pop_back();
-    return event;
-}
-
-void
 EventQueue::schedule(Tick when, Handler handler)
 {
     if (when < curTick_)
@@ -68,41 +43,48 @@ EventQueue::schedule(Tick when, Handler handler)
               static_cast<unsigned long long>(curTick_));
     if (handler.onHeap())
         ++heapFallbacks_;
-    Event event{when, nextSeq_++, std::move(handler)};
-    if (core_ == EventCoreKind::heap ||
-        when - curTick_ >= ringSize) {
-        pushFar(std::move(event));
-        return;
+    SlotKey key{when, nextSeq_++, handlers_.alloc(std::move(handler))};
+    if (core_ == EventCoreKind::heap || when - curTick_ >= ringSize)
+        far_.push(key);
+    else
+        pushRing(key);
+}
+
+void
+EventQueue::pushRing(SlotKey key)
+{
+    std::uint64_t idx = key.rank & ringMask;
+    auto &bucket = ring_[idx];
+    // A migrated far event was scheduled while its tick was outside
+    // the window, so its seq precedes any event the window already
+    // holds for the same tick; file it in seq order.
+    auto pos = bucket.end();
+    if (!bucket.empty() && bucket.back().seq > key.seq) {
+        pos = std::upper_bound(bucket.begin(), bucket.end(), key.seq,
+                               [](std::uint64_t seq, const SlotKey &k) {
+            return seq < k.seq;
+        });
     }
-    auto &bucket = ring_[when & ringMask];
-    bucket.push_back(std::move(event));
-    occupied_[(when & ringMask) / 64] |=
-        std::uint64_t{1} << ((when & ringMask) % 64);
+    bucket.insert(pos, key);
+    occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
     ++ringCount_;
 }
 
 void
 EventQueue::migrateFar()
 {
-    while (!far_.empty() &&
-           far_.front().when - curTick_ < ringSize) {
-        Event event = popFar();
-        auto &bucket = ring_[event.when & ringMask];
-        std::uint64_t idx = event.when & ringMask;
-        bucket.push_back(std::move(event));
-        occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
-        ++ringCount_;
-        // A migrated event was scheduled while its tick was outside
-        // the window, so its seq precedes any event the window
-        // already holds for the same tick; restore seq order.
-        if (bucket.size() > 1 &&
-            bucket[bucket.size() - 2].seq > bucket.back().seq) {
-            std::sort(bucket.begin(), bucket.end(),
-                      [](const Event &a, const Event &b) {
-                return a.seq < b.seq;
-            });
-        }
-    }
+    while (!far_.empty() && far_.top().rank - curTick_ < ringSize)
+        pushRing(far_.pop());
+}
+
+void
+EventQueue::fire(SlotKey key)
+{
+    Handler handler = std::move(handlers_[key.slot]);
+    handlers_.free(key.slot);
+    curTick_ = key.rank;
+    ++executed_;
+    handler();
 }
 
 void
@@ -113,12 +95,8 @@ EventQueue::drainBucket(Tick tick)
     // Handlers may append same-tick events to this bucket while it
     // drains; indexed iteration with a size recheck picks them up,
     // and they arrive in seq order by construction.
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        Handler handler = std::move(bucket[i].handler);
-        curTick_ = tick;
-        ++executed_;
-        handler();
-    }
+    for (std::size_t i = 0; i < bucket.size(); ++i)
+        fire(bucket[i]);
     ringCount_ -= bucket.size();
     bucket.clear();
     occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
@@ -149,12 +127,9 @@ EventQueue::nextRingTick() const
         }
         if (word == 0)
             continue;
-        std::uint64_t bit = word & (~word + 1);
-        unsigned bit_idx = 0;
-        while ((bit >> bit_idx) != 1)
-            ++bit_idx;
-        std::uint64_t bucket_idx = word_idx * 64 + bit_idx;
-        return ring_[bucket_idx].front().when;
+        std::uint64_t bucket_idx =
+            word_idx * 64 + static_cast<unsigned>(std::countr_zero(word));
+        return ring_[bucket_idx].front().rank;
     }
     panic("ring count %zu but no occupied bucket", ringCount_);
     return maxTick;
@@ -165,7 +140,7 @@ EventQueue::runCalendar(Tick limit)
 {
     for (;;) {
         Tick ring_next = nextRingTick();
-        Tick far_next = far_.empty() ? maxTick : far_.front().when;
+        Tick far_next = far_.empty() ? maxTick : far_.top().rank;
         Tick next = std::min(ring_next, far_next);
         if (next == maxTick)
             return true;
@@ -184,14 +159,11 @@ bool
 EventQueue::runHeap(Tick limit)
 {
     while (!far_.empty()) {
-        if (far_.front().when > limit) {
+        if (far_.top().rank > limit) {
             curTick_ = limit;
             return false;
         }
-        Event event = popFar();
-        curTick_ = event.when;
-        ++executed_;
-        event.handler();
+        fire(far_.pop());
     }
     return true;
 }
@@ -211,6 +183,7 @@ EventQueue::clear()
     occupied_.fill(0);
     ringCount_ = 0;
     far_.clear();
+    handlers_.clear();
 }
 
 } // namespace sim

@@ -11,13 +11,17 @@
  *
  *  - `calendar` (default): a bucketed near-future calendar ring for
  *    the short-delta schedules that dominate simulation (issue
- *    costs, poll intervals, bus slots), falling back to a far-future
- *    binary heap for everything past the ring window. Handlers use
- *    a small-buffer-optimized callable, so the steady state does
- *    zero heap allocations.
- *  - `heap`: the classic single binary heap. Kept as the reference
- *    implementation; the equivalence suite asserts both cores yield
- *    bit-identical simulations.
+ *    costs, poll intervals, bus slots), falling back to the far
+ *    heap for everything past the ring window. Handlers use a
+ *    small-buffer-optimized callable, so the steady state does zero
+ *    heap allocations.
+ *  - `heap`: the classic single binary heap (the far heap alone).
+ *    Kept as the reference implementation; the equivalence suite
+ *    asserts both cores yield bit-identical simulations.
+ *
+ * Every pending handler waits in one slab slot from schedule() until
+ * it runs; the ring buckets and the far heap hold only
+ * {when, seq, slot} keys, so neither ever moves a handler.
  *
  * Both cores execute the same (when, seq) order, so results never
  * depend on which one runs.
@@ -33,6 +37,7 @@
 
 #include "sim/inline_function.hh"
 #include "sim/types.hh"
+#include "sim/wait_set.hh"
 
 namespace psync {
 namespace sim {
@@ -127,13 +132,6 @@ class EventQueue
     std::size_t farEvents() const { return far_.size(); }
 
   private:
-    struct Event
-    {
-        Tick when;
-        std::uint64_t seq;
-        Handler handler;
-    };
-
     /**
      * Ring window, in ticks. Every pending event with
      * when - now() < ringSize lives in bucket (when % ringSize);
@@ -147,11 +145,14 @@ class EventQueue
     bool runCalendar(Tick limit);
     bool runHeap(Tick limit);
 
-    void pushFar(Event event);
-    Event popFar();
+    /** File a key into its bucket, keeping the bucket in seq order. */
+    void pushRing(SlotKey key);
 
     /** Move far events entering the ring window into their buckets. */
     void migrateFar();
+
+    /** Run the handler `key` names at its tick, freeing its slot. */
+    void fire(SlotKey key);
 
     /** Execute every event in `tick`'s bucket, in seq order. */
     void drainBucket(Tick tick);
@@ -168,17 +169,20 @@ class EventQueue
     std::uint64_t executed_ = 0;
     std::uint64_t heapFallbacks_ = 0;
 
+    /** Every pending handler, named by the keys below. */
+    Slab<Handler> handlers_;
+
     /** Calendar buckets; vectors keep their capacity across ticks. */
-    std::vector<std::vector<Event>> ring_{ringSize};
+    std::vector<std::vector<SlotKey>> ring_{ringSize};
     /** One bit per non-empty bucket, for fast next-tick scans. */
     std::array<std::uint64_t, ringSize / 64> occupied_{};
     std::size_t ringCount_ = 0;
 
     /**
-     * Far-future events as a binary min-heap on (when, seq). The
-     * heap core stores everything here.
+     * Far-future events as a min-heap on (when, seq). The heap core
+     * stores everything here.
      */
-    std::vector<Event> far_;
+    KeyHeap far_;
 };
 
 } // namespace sim

@@ -41,7 +41,9 @@ template <typename Ret, typename... Args, std::size_t Capacity>
 class InlineFunction<Ret(Args...), Capacity>
 {
   public:
-    InlineFunction() = default;
+    // User-provided so value-initialization (InlineFunction{}, or a
+    // slab slot's T{}) leaves the capture buffer unzeroed.
+    InlineFunction() noexcept {}
 
     template <typename F,
               typename = std::enable_if_t<

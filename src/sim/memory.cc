@@ -25,30 +25,6 @@ Memory::Memory(EventQueue &eq, Interconnect &data_net,
         fatal("memory must have at least one module");
 }
 
-std::uint32_t
-Memory::allocRequest()
-{
-    if (freeHead != noRequest) {
-        std::uint32_t slot = freeHead;
-        freeHead = requests[slot].next;
-        return slot;
-    }
-    std::uint32_t slot = static_cast<std::uint32_t>(requests.size());
-    requests.emplace_back();
-    return slot;
-}
-
-void
-Memory::freeRequest(std::uint32_t slot)
-{
-    Request &req = requests[slot];
-    req.modify.reset();
-    req.onValue.reset();
-    req.onAccess.reset();
-    req.next = freeHead;
-    freeHead = slot;
-}
-
 void
 Memory::service(std::uint32_t slot)
 {
@@ -88,20 +64,20 @@ Memory::complete(std::uint32_t slot)
     switch (req.kind) {
       case Request::Kind::read: {
         ValueHandler on_done = std::move(req.onValue);
-        freeRequest(slot);
+        requests.free(slot);
         on_done(peek(addr));
         return;
       }
       case Request::Kind::readDiscard: {
         AccessHandler on_done = std::move(req.onAccess);
-        freeRequest(slot);
+        requests.free(slot);
         on_done();
         return;
       }
       case Request::Kind::write: {
         words[addr] = req.value;
         AccessHandler on_done = std::move(req.onAccess);
-        freeRequest(slot);
+        requests.free(slot);
         on_done();
         return;
       }
@@ -109,7 +85,7 @@ Memory::complete(std::uint32_t slot)
         SyncWord old_value = peek(addr);
         words[addr] = req.modify(old_value);
         ValueHandler on_done = std::move(req.onValue);
-        freeRequest(slot);
+        requests.free(slot);
         on_done(old_value);
         return;
       }
@@ -120,7 +96,7 @@ void
 Memory::read(ProcId who, Addr addr, ValueHandler on_done)
 {
     ++readsStat;
-    std::uint32_t slot = allocRequest();
+    std::uint32_t slot = requests.alloc();
     Request &req = requests[slot];
     req.kind = Request::Kind::read;
     req.who = who;
@@ -134,7 +110,7 @@ void
 Memory::readDiscard(ProcId who, Addr addr, AccessHandler on_done)
 {
     ++readsStat;
-    std::uint32_t slot = allocRequest();
+    std::uint32_t slot = requests.alloc();
     Request &req = requests[slot];
     req.kind = Request::Kind::readDiscard;
     req.who = who;
@@ -149,7 +125,7 @@ Memory::write(ProcId who, Addr addr, SyncWord value,
               AccessHandler on_done)
 {
     ++writesStat;
-    std::uint32_t slot = allocRequest();
+    std::uint32_t slot = requests.alloc();
     Request &req = requests[slot];
     req.kind = Request::Kind::write;
     req.who = who;
@@ -167,7 +143,7 @@ Memory::rmw(ProcId who, Addr addr, Modify modify, ValueHandler on_done)
     // a write; serialized arrivals at one hot word pay the full
     // double service each (the fetch&add funnel of Example 4).
     ++rmwsStat;
-    std::uint32_t slot = allocRequest();
+    std::uint32_t slot = requests.alloc();
     Request &req = requests[slot];
     req.kind = Request::Kind::rmw;
     req.who = who;

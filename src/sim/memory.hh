@@ -29,6 +29,7 @@
 #include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
+#include "sim/wait_set.hh"
 
 namespace psync {
 namespace sim {
@@ -164,13 +165,7 @@ class Memory
         Modify modify;
         ValueHandler onValue;
         AccessHandler onAccess;
-        std::uint32_t next = noRequest;
     };
-
-    static constexpr std::uint32_t noRequest = ~0u;
-
-    std::uint32_t allocRequest();
-    void freeRequest(std::uint32_t slot);
 
     /** Issue the module-side portion of a request. */
     void service(std::uint32_t slot);
@@ -186,8 +181,7 @@ class Memory
 
     std::vector<Tick> moduleFreeAt;
     std::unordered_map<Addr, SyncWord> words;
-    std::vector<Request> requests;
-    std::uint32_t freeHead = noRequest;
+    Slab<Request> requests;
 
     stats::Vector accessesStat;
     stats::Scalar queueDelayStat;

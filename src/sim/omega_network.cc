@@ -54,29 +54,13 @@ OmegaNetwork::transact(ProcId who, GrantHandler on_grant,
             on_grant(inject);
         } else {
             std::uint32_t slot =
-                parkFlight(std::move(on_grant), inject);
+                flights.alloc({std::move(on_grant), inject});
             eventq.schedule(inject,
                             [this, slot]() { fireFlight(slot); });
         }
     }
-    std::uint32_t slot = parkFlight(std::move(on_done), inject);
+    std::uint32_t slot = flights.alloc({std::move(on_done), inject});
     eventq.schedule(delivered, [this, slot]() { fireFlight(slot); });
-}
-
-std::uint32_t
-OmegaNetwork::parkFlight(GrantHandler handler, Tick inject)
-{
-    std::uint32_t slot;
-    if (freeFlight != noFlight) {
-        slot = freeFlight;
-        freeFlight = flights[slot].next;
-    } else {
-        slot = static_cast<std::uint32_t>(flights.size());
-        flights.emplace_back();
-    }
-    flights[slot].handler = std::move(handler);
-    flights[slot].inject = inject;
-    return slot;
 }
 
 void
@@ -84,8 +68,7 @@ OmegaNetwork::fireFlight(std::uint32_t slot)
 {
     GrantHandler handler = std::move(flights[slot].handler);
     Tick inject = flights[slot].inject;
-    flights[slot].next = freeFlight;
-    freeFlight = slot;
+    flights.free(slot);
     handler(inject);
 }
 

@@ -31,6 +31,7 @@
 #include "sim/interconnect.hh"
 #include "sim/stats.hh"
 #include "sim/tracing.hh"
+#include "sim/wait_set.hh"
 
 namespace psync {
 namespace sim {
@@ -85,12 +86,8 @@ class OmegaNetwork : public Interconnect
     {
         GrantHandler handler;
         Tick inject = 0;
-        std::uint32_t next = noFlight;
     };
 
-    static constexpr std::uint32_t noFlight = ~0u;
-
-    std::uint32_t parkFlight(GrantHandler handler, Tick inject);
     void fireFlight(std::uint32_t slot);
 
     EventQueue &eventq;
@@ -99,8 +96,7 @@ class OmegaNetwork : public Interconnect
     Tick stageCycles;
     Tick portCycles;
     std::vector<Tick> portFreeAt;
-    std::vector<Flight> flights;
-    std::uint32_t freeFlight = noFlight;
+    Slab<Flight> flights;
 
     stats::Scalar numTransactions;
     stats::Scalar queueDelayStat;

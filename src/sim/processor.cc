@@ -132,7 +132,7 @@ Processor::execData(const Op &op)
     setActivity(ProcActivity::stall);
     Tick start = eventq.now();
     bool is_write = op.kind == OpKind::dataWrite;
-    auto done = [this, op, start, is_write]() {
+    auto done = [this, &op, start, is_write]() {
         Tick end = eventq.now();
         stallCycles_ += end - start;
         tracePhase(TracePhase::stall, start, end);
@@ -160,10 +160,10 @@ Processor::execWaitGE(const Op &op)
     tracePhase(TracePhase::syncOverhead, eventq.now(),
                eventq.now() + issue);
     Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
+    eventq.scheduleIn(issue, [this, &op, start]() {
         setActivity(ProcActivity::spin);
         fabric.waitGE(id_, op.var, op.value,
-                      [this, op, start](Tick waited) {
+                      [this, &op, start](Tick waited) {
             spinCycles_ += waited;
             tracePhase(TracePhase::spin, eventq.now() - waited,
                        eventq.now());
@@ -190,8 +190,8 @@ Processor::execWrite(const Op &op)
     tracePhase(TracePhase::syncOverhead, eventq.now(),
                eventq.now() + issue);
     Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
-        fabric.write(id_, op.var, op.value, [this, op, start]() {
+    eventq.scheduleIn(issue, [this, &op, start]() {
+        fabric.write(id_, op.var, op.value, [this, &op, start]() {
             // Anything beyond the fixed issue cost (memory-fabric
             // write latency) is synchronization overhead too.
             Tick total = eventq.now() - start;
@@ -216,8 +216,8 @@ Processor::execFetchInc(const Op &op)
     tracePhase(TracePhase::syncOverhead, eventq.now(),
                eventq.now() + issue);
     Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
-        fabric.fetchInc(id_, op.var, [this, op, start](SyncWord) {
+    eventq.scheduleIn(issue, [this, &op, start]() {
+        fabric.fetchInc(id_, op.var, [this, &op, start](SyncWord) {
             Tick total = eventq.now() - start;
             Tick fixed = fabric.issueCost();
             syncOverheadCycles_ += total > fixed ? total - fixed : 0;
@@ -241,9 +241,9 @@ Processor::execPcMark(const Op &op)
                eventq.now() + issue);
     std::uint32_t my_owner = PcWord::owner(op.value);
     Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, my_owner, start]() {
+    eventq.scheduleIn(issue, [this, &op, my_owner, start]() {
         if (ownedPc) {
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
+            fabric.write(id_, op.var, op.value, [this, &op, start]() {
                 traceOpSpan(op.id, op.kind, op.var, opIter(op),
                             start, eventq.now());
                 step();
@@ -251,7 +251,7 @@ Processor::execPcMark(const Op &op)
             return;
         }
         fabric.read(id_, op.var,
-                    [this, op, my_owner, start](SyncWord cur) {
+                    [this, &op, my_owner, start](SyncWord cur) {
             std::uint32_t cur_owner = PcWord::owner(cur);
             if (cur_owner < my_owner) {
                 // Ownership has not been transferred yet; proceed
@@ -267,7 +267,7 @@ Processor::execPcMark(const Op &op)
                       "protocol violated", op.var, cur_owner, my_owner);
             }
             ownedPc = true;
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
+            fabric.write(id_, op.var, op.value, [this, &op, start]() {
                 traceOpSpan(op.id, op.kind, op.var, opIter(op),
                             start, eventq.now());
                 step();
@@ -286,9 +286,9 @@ Processor::execPcTransfer(const Op &op)
     tracePhase(TracePhase::syncOverhead, eventq.now(),
                eventq.now() + issue);
     Tick start = eventq.now();
-    eventq.scheduleIn(issue, [this, op, start]() {
+    eventq.scheduleIn(issue, [this, &op, start]() {
         if (ownedPc) {
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
+            fabric.write(id_, op.var, op.value, [this, &op, start]() {
                 traceOpSpan(op.id, op.kind, op.var, opIter(op),
                             start, eventq.now());
                 step();
@@ -298,7 +298,7 @@ Processor::execPcTransfer(const Op &op)
         // get_PC: wait until ownership reaches this process.
         setActivity(ProcActivity::spin);
         fabric.waitGE(id_, op.var, op.aux,
-                      [this, op, start](Tick waited) {
+                      [this, &op, start](Tick waited) {
             spinCycles_ += waited;
             tracePhase(TracePhase::spin, eventq.now() - waited,
                        eventq.now());
@@ -310,7 +310,7 @@ Processor::execPcTransfer(const Op &op)
             }
             ownedPc = true;
             setActivity(ProcActivity::sync);
-            fabric.write(id_, op.var, op.value, [this, op, start]() {
+            fabric.write(id_, op.var, op.value, [this, &op, start]() {
                 traceOpSpan(op.id, op.kind, op.var, opIter(op),
                             start, eventq.now());
                 step();
@@ -396,9 +396,9 @@ Processor::execCtrBarrier(const Op &op)
                eventq.now() + issue);
     Tick start = eventq.now();
     std::uint64_t iter = opIter(op);
-    eventq.scheduleIn(issue, [this, op, start, issue, iter]() {
+    eventq.scheduleIn(issue, [this, &op, start, issue, iter]() {
         fabric.fetchInc(id_, op.var,
-                        [this, op, start, issue,
+                        [this, &op, start, issue,
                          iter](SyncWord old_val) {
             // Capture only scalar pieces in `resume`: the
             // last-arrival path copies it into two more handlers,

@@ -154,6 +154,11 @@ class Processor
     Tracer *tracer;
 
     Dispatch dispatch_;
+    /**
+     * The program being run. Dispatchers hand out programs that
+     * outlive the run, so op continuations capture their op by
+     * reference instead of copying it into every handler.
+     */
     const Program *current = nullptr;
     size_t opIndex = 0;
 

@@ -1,6 +1,5 @@
 #include "sim/sync_fabric.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/logging.hh"
@@ -109,30 +108,6 @@ MemorySyncFabric::allocate(unsigned count, SyncWord init_value)
     return first;
 }
 
-std::uint32_t
-MemorySyncFabric::allocOp()
-{
-    if (freeOps != noOp) {
-        std::uint32_t slot = freeOps;
-        freeOps = ops[slot].next;
-        return slot;
-    }
-    std::uint32_t slot = static_cast<std::uint32_t>(ops.size());
-    ops.emplace_back();
-    return slot;
-}
-
-void
-MemorySyncFabric::freeOp(std::uint32_t slot)
-{
-    OpState &op = ops[slot];
-    op.onWait.reset();
-    op.onDone.reset();
-    op.onValue.reset();
-    op.next = freeOps;
-    freeOps = slot;
-}
-
 void
 MemorySyncFabric::pollLoop(std::uint32_t slot)
 {
@@ -157,7 +132,7 @@ MemorySyncFabric::pollValue(std::uint32_t slot, SyncWord value)
         trackWaitEnd(op.var);
         WaitHandler on_done = std::move(op.onWait);
         Tick waited = eventq.now() - op.started;
-        freeOp(slot);
+        ops.free(slot);
         on_done(waited);
         return;
     }
@@ -165,9 +140,8 @@ MemorySyncFabric::pollValue(std::uint32_t slot, SyncWord value)
         // Spin on the (now cached) copy for free; the next memory
         // fetch happens when a write invalidates it. No poll events
         // tick while parked — the slot just waits on the list.
-        op.parkSeq = nextParkSeq++;
         trackPark(op.who);
-        parked[op.var].push_back(slot);
+        parked.park(op.var, 0, slot);
         return;
     }
     eventq.scheduleIn(pollInterval,
@@ -177,24 +151,15 @@ MemorySyncFabric::pollValue(std::uint32_t slot, SyncWord value)
 void
 MemorySyncFabric::invalidate(SyncVarId var)
 {
-    auto it = parked.find(var);
-    if (it == parked.end() || it->second.empty())
-        return;
-    std::vector<std::uint32_t> woken;
-    woken.swap(it->second);
     // Every parked spinner re-fetches the invalidated word after
     // the poll interval (cache-miss turnaround); a hot word gets a
     // burst of refills queueing at its module. Wake order is FIFO
-    // by park order (parkSeq ascends down the list).
-    std::sort(woken.begin(), woken.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-        return ops[a].parkSeq < ops[b].parkSeq;
-    });
-    for (std::uint32_t slot : woken) {
+    // by park order.
+    parked.releaseAll(var, [this](std::uint32_t slot) {
         trackUnpark(ops[slot].who);
         eventq.scheduleIn(pollInterval,
                           [this, slot]() { pollLoop(slot); });
-    }
+    });
 }
 
 void
@@ -205,7 +170,7 @@ MemorySyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
                   "proc %u wait v%u >= %llu (memory fabric)", who,
                   var, static_cast<unsigned long long>(threshold));
     PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.who = who;
     op.var = var;
@@ -231,7 +196,7 @@ MemorySyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
                   "proc %u write v%u = %llu (memory fabric)", who,
                   var, static_cast<unsigned long long>(value));
     PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     ops[slot].var = var;
     ops[slot].onDone = std::move(on_done);
     memory.write(who, addrOf(var), value,
@@ -243,7 +208,7 @@ MemorySyncFabric::writeDone(std::uint32_t slot)
 {
     SyncVarId var = ops[slot].var;
     DoneHandler on_done = std::move(ops[slot].onDone);
-    freeOp(slot);
+    ops.free(slot);
     invalidate(var);
     on_done();
 }
@@ -254,7 +219,7 @@ MemorySyncFabric::fetchInc(ProcId who, SyncVarId var,
 {
     ++rmwsStat;
     PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     ops[slot].var = var;
     ops[slot].onValue = std::move(on_done);
     memory.rmw(who, addrOf(var),
@@ -269,7 +234,7 @@ MemorySyncFabric::fetchIncDone(std::uint32_t slot, SyncWord old_value)
 {
     SyncVarId var = ops[slot].var;
     ValueHandler on_done = std::move(ops[slot].onValue);
-    freeOp(slot);
+    ops.free(slot);
     invalidate(var);
     on_done(old_value);
 }
@@ -293,36 +258,26 @@ MemorySyncFabric::keyedService(std::uint32_t slot)
                                  eventq.now()));
         trackWaitEnd(key);
         WaitHandler on_done = std::move(op.onWait);
-        freeOp(slot);
+        ops.free(slot);
         wakeKeyed(key);
         on_done(waited);
         return;
     }
-    op.parkSeq = nextParkSeq++;
     trackPark(op.who);
-    parkedKeyed[key].push_back(slot);
+    parkedKeyed.park(key, 0, slot);
 }
 
 void
 MemorySyncFabric::wakeKeyed(SyncVarId key)
 {
-    auto it = parkedKeyed.find(key);
-    if (it == parkedKeyed.end() || it->second.empty())
-        return;
-    std::vector<std::uint32_t> woken;
-    woken.swap(it->second);
-    std::sort(woken.begin(), woken.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-        return ops[a].parkSeq < ops[b].parkSeq;
-    });
-    for (std::uint32_t slot : woken) {
+    parkedKeyed.releaseAll(key, [this, key](std::uint32_t slot) {
         ++keyedRetriesStat;
         trackUnpark(ops[slot].who);
         // The retry occupies the key's module but never the
         // interconnect: the synchronization processor is local.
         memory.serviceAtModule(
             addrOf(key), [this, slot]() { keyedService(slot); });
-    }
+    });
 }
 
 void
@@ -332,7 +287,7 @@ MemorySyncFabric::keyedAccess(ProcId who, SyncVarId key,
 {
     ++keyedOpsStat;
     PSYNC_TRACE(tracer, syncVarOp(key, "keyed", who, eventq.now()));
-    std::uint32_t slot = allocOp();
+    std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.who = who;
     op.var = key;
@@ -379,6 +334,67 @@ MemorySyncFabric::registerStats(stats::Group &group) const
 }
 
 //
+// ImageOps
+//
+
+std::uint32_t
+ImageOps::hold(ResultHandler on_done)
+{
+    std::uint32_t slot = ops.alloc();
+    ops[slot].onResult = std::move(on_done);
+    return slot;
+}
+
+void
+ImageOps::wait(ProcId who, SyncVarId word, SyncWord threshold,
+               SyncWord current, ResultHandler on_done)
+{
+    std::uint32_t slot = hold(std::move(on_done));
+    if (current >= threshold) {
+        ready(slot, 0);
+        return;
+    }
+    ops[slot].who = who;
+    ops[slot].started = eventq.now();
+    waits.park(word, threshold, slot);
+}
+
+void
+ImageOps::ready(std::uint32_t slot, std::uint64_t result)
+{
+    ops[slot].result = result;
+    eventq.scheduleIn(0, [this, slot]() { fire(slot); });
+}
+
+void
+ImageOps::run(std::uint32_t slot, std::uint64_t result)
+{
+    ResultHandler handler = std::move(ops[slot].onResult);
+    ops.free(slot);
+    handler(result);
+}
+
+void
+ImageOps::writeDone(SyncFabric::DoneHandler on_done)
+{
+    std::uint32_t slot = ops.alloc();
+    ops[slot].onDone = std::move(on_done);
+    ready(slot, 0);
+}
+
+void
+ImageOps::fire(std::uint32_t slot)
+{
+    if (!ops[slot].onDone) {
+        run(slot, ops[slot].result);
+        return;
+    }
+    SyncFabric::DoneHandler handler = std::move(ops[slot].onDone);
+    ops.free(slot);
+    handler();
+}
+
+//
 // RegisterSyncFabric
 //
 
@@ -390,6 +406,7 @@ RegisterSyncFabric::RegisterSyncFabric(EventQueue &eq, Bus &sync_bus,
       capacity_(capacity),
       coalesceEnabled(coalesce),
       tracer(trace),
+      ops(eq),
       broadcastsStat("syncfab.reg.broadcasts"),
       coalescedStat("syncfab.reg.coalesced_writes"),
       localReadsStat("syncfab.reg.local_reads"),
@@ -405,60 +422,21 @@ RegisterSyncFabric::allocate(unsigned count, SyncWord init_value)
               "have %u of %u", count, numVars, capacity_);
     SyncVarId first = numVars;
     values.resize(numVars + count, init_value);
-    waiters.resize(numVars + count);
     numVars += count;
     return first;
-}
-
-void
-RegisterSyncFabric::runReady()
-{
-    ReadyOp op = std::move(readyOps.front());
-    readyOps.pop_front();
-    switch (op.kind) {
-      case ReadyOp::Kind::wake:
-        op.onWait(op.waited);
-        return;
-      case ReadyOp::Kind::readValue:
-        op.onValue(op.value);
-        return;
-      case ReadyOp::Kind::writeDone:
-        op.onDone();
-        return;
-    }
 }
 
 void
 RegisterSyncFabric::commit(SyncVarId var, SyncWord value)
 {
     values[var] = value;
-    auto &wait_list = waiters[var];
-    std::vector<Waiter> still_waiting;
-    still_waiting.reserve(wait_list.size());
-    for (auto &w : wait_list) {
-        if (values[var] >= w.threshold) {
-            ++wakeupsStat;
-            if (tracer) {
-                auto it = activeWaiters.find(var);
-                if (it != activeWaiters.end() && --it->second == 0)
-                    activeWaiters.erase(it);
-            }
-            Tick waited = eventq.now() - w.started;
-            if (waited > 0) {
-                PSYNC_TRACE(tracer, waitEdge(var, w.who, w.started,
-                                             eventq.now()));
-            }
-            ReadyOp ready;
-            ready.kind = ReadyOp::Kind::wake;
-            ready.waited = waited;
-            ready.onWait = std::move(w.onDone);
-            readyOps.push_back(std::move(ready));
-            eventq.scheduleIn(0, [this]() { runReady(); });
-        } else {
-            still_waiting.push_back(std::move(w));
+    ops.release(var, value, [&](ProcId who, Tick started) {
+        ++wakeupsStat;
+        if (eventq.now() > started) {
+            PSYNC_TRACE(tracer,
+                        waitEdge(var, who, started, eventq.now()));
         }
-    }
-    wait_list.swap(still_waiting);
+    });
 }
 
 void
@@ -471,29 +449,16 @@ RegisterSyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
                   var, static_cast<unsigned long long>(threshold),
                   static_cast<unsigned long long>(values[var]));
     PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
-    if (values[var] >= threshold) {
-        ReadyOp ready;
-        ready.kind = ReadyOp::Kind::wake;
-        ready.waited = 0;
-        ready.onWait = std::move(on_done);
-        readyOps.push_back(std::move(ready));
-        eventq.scheduleIn(0, [this]() { runReady(); });
-        return;
-    }
-    if (tracer)
-        ++activeWaiters[var];
-    waiters[var].push_back(Waiter{who, threshold, eventq.now(),
-                                  nextWaiterSeq++,
-                                  std::move(on_done)});
+    ops.wait(who, var, threshold, values[var], std::move(on_done));
 }
 
 void
 RegisterSyncFabric::sampleTimeline(Tracer &t, Tick at) const
 {
-    for (const auto &entry : activeWaiters) {
-        t.sample(SampleStream::syncVarWaiters, entry.first, at,
-                 static_cast<double>(entry.second));
-    }
+    ops.waiting().forEachVar([&](SyncVarId var, std::size_t count) {
+        t.sample(SampleStream::syncVarWaiters, var, at,
+                 static_cast<double>(count));
+    });
 }
 
 void
@@ -501,12 +466,7 @@ RegisterSyncFabric::read(ProcId who, SyncVarId var, ValueHandler on_done)
 {
     (void)who;
     ++localReadsStat;
-    ReadyOp ready;
-    ready.kind = ReadyOp::Kind::readValue;
-    ready.value = values[var];
-    ready.onValue = std::move(on_done);
-    readyOps.push_back(std::move(ready));
-    eventq.scheduleIn(0, [this]() { runReady(); });
+    ops.ready(ops.hold(std::move(on_done)), values[var]);
 }
 
 void
@@ -518,45 +478,31 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
                   "proc %u write v%u = %llu (register fabric)", who,
                   var, static_cast<unsigned long long>(value));
     PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
-    auto it = pendingWrites.find(key);
-    if (coalesceEnabled && it != pendingWrites.end() &&
-        it->second.valid) {
+    PendingWrite &pw = pendingWrites[key];
+    if (!pw.post(value, coalesceEnabled)) {
         // A broadcast of this variable from this processor is still
         // waiting for the bus; the newer value covers the older one.
-        it->second.value = value;
         ++coalescedStat;
         PSYNC_TRACE(tracer,
                     syncVarOp(var, "coalesced", who, eventq.now()));
     } else {
-        auto &pw = pendingWrites[key];
-        pw.value = value;
-        pw.valid = true;
         // The value is latched at grant time: once the write gains
         // the bus it can no longer be covered by a newer write
-        // (section 6), so the pending entry closes then. The map
-        // entry outlives the transaction, so the latch lives there.
+        // (section 6), so the pending entry closes then.
+        PendingWrite *entry = &pw;
         syncBus.transact(
-            who,
-            [this, key](Tick) {
-                auto &entry = pendingWrites[key];
-                entry.latched = entry.value;
-                entry.valid = false;
-            },
-            [this, who, var, key](Tick) {
+            who, [entry](Tick) { entry->latch(); },
+            [this, who, var, entry](Tick) {
                 ++broadcastsStat;
                 PSYNC_TRACE(tracer, instant("sync_broadcast", who,
                                             eventq.now()));
                 PSYNC_TRACE(tracer, syncVarOp(var, "broadcast", who,
                                               eventq.now()));
-                commit(var, pendingWrites[key].latched);
+                commit(var, entry->latched);
             });
     }
     // Posted write: the issuing processor continues immediately.
-    ReadyOp ready;
-    ready.kind = ReadyOp::Kind::writeDone;
-    ready.onDone = std::move(on_done);
-    readyOps.push_back(std::move(ready));
-    eventq.scheduleIn(0, [this]() { runReady(); });
+    ops.writeDone(std::move(on_done));
 }
 
 void
@@ -565,19 +511,16 @@ RegisterSyncFabric::fetchInc(ProcId who, SyncVarId var,
 {
     // Atomicity comes from bus serialization: the increment is
     // applied at broadcast time, and no value is returned until
-    // this processor's turn on the bus. The bus grants FIFO, so
-    // completions pop the pending handlers in push order.
+    // this processor's turn on the bus.
     PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
-    pendingIncs.push_back(std::move(on_done));
-    syncBus.transact(who, [this, who, var](Tick) {
-        ValueHandler handler = std::move(pendingIncs.front());
-        pendingIncs.pop_front();
+    std::uint32_t slot = ops.hold(std::move(on_done));
+    syncBus.transact(who, [this, who, var, slot](Tick) {
         SyncWord old_value = values[var];
         ++broadcastsStat;
         PSYNC_TRACE(tracer,
                     instant("sync_broadcast", who, eventq.now()));
         commit(var, old_value + 1);
-        handler(old_value);
+        ops.run(slot, old_value);
     });
 }
 

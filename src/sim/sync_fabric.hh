@@ -20,9 +20,9 @@
 #define PSYNC_SIM_SYNC_FABRIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <ostream>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -33,6 +33,7 @@
 #include "sim/stats.hh"
 #include "sim/tracing.hh"
 #include "sim/types.hh"
+#include "sim/wait_set.hh"
 
 namespace psync {
 namespace sim {
@@ -255,18 +256,10 @@ class MemorySyncFabric : public SyncFabric
         SyncVarId var = 0;
         SyncWord threshold = 0;
         Tick started = 0;
-        /** FIFO ordering among waiters parked on the same var. */
-        std::uint64_t parkSeq = 0;
         WaitHandler onWait;
         DoneHandler onDone;
         ValueHandler onValue;
-        std::uint32_t next = noOp;
     };
-
-    static constexpr std::uint32_t noOp = ~0u;
-
-    std::uint32_t allocOp();
-    void freeOp(std::uint32_t slot);
 
     Addr addrOf(SyncVarId var) const;
     /** Issue the next memory poll of the wait parked in `slot`. */
@@ -290,9 +283,7 @@ class MemorySyncFabric : public SyncFabric
     Tracer *tracer;
     unsigned numVars = 0;
 
-    std::vector<OpState> ops;
-    std::uint32_t freeOps = noOp;
-    std::uint64_t nextParkSeq = 0;
+    Slab<OpState> ops;
 
     /** Count a wait (poll loop or keyed) becoming blocked on var. */
     void trackWaitStart(SyncVarId var);
@@ -302,10 +293,13 @@ class MemorySyncFabric : public SyncFabric
     void trackPark(ProcId who);
     void trackUnpark(ProcId who);
 
-    /** Parked waiter slots per variable, FIFO by parkSeq. */
-    std::unordered_map<SyncVarId, std::vector<std::uint32_t>> parked;
-    std::unordered_map<SyncVarId, std::vector<std::uint32_t>>
-        parkedKeyed;
+    /**
+     * Parked cached-spin waiters and parked keyed requests. Both
+     * wake threshold-free, FIFO by park order, so they park at rank
+     * 0 and release with releaseAll.
+     */
+    WaitSet parked;
+    WaitSet parkedKeyed;
 
     /**
      * Timeline-sampling shadow state, maintained only while a
@@ -320,6 +314,123 @@ class MemorySyncFabric : public SyncFabric
     stats::Scalar rmwsStat;
     stats::Scalar keyedOpsStat;
     stats::Scalar keyedRetriesStat;
+};
+
+/**
+ * A posted register write waiting for its bus, one per (writer,
+ * variable). Until the bus grants it, a newer write of the same pair
+ * overwrites `value` (the coalescing of section 6); the grant closes
+ * the entry and latches the value the broadcast carries. Entries are
+ * never erased, so bus closures hold a pointer to theirs.
+ */
+struct PendingWrite
+{
+    SyncWord value = 0;
+    /** Value captured when the broadcast won its bus. */
+    SyncWord latched = 0;
+    bool valid = false;
+
+    /**
+     * Post `v`. @return true if it needs a new bus transaction,
+     * false if it coalesced into one still waiting for its grant.
+     */
+    bool
+    post(SyncWord v, bool coalesce)
+    {
+        bool merged = coalesce && valid;
+        value = v;
+        valid = true;
+        return !merged;
+    }
+
+    /** The bus granted: close coalescing, latch the value. */
+    void
+    latch()
+    {
+        latched = value;
+        valid = false;
+    }
+};
+
+/**
+ * Completion slab, wait set and ready path shared by the
+ * register-image fabrics (RegisterSyncFabric and
+ * HierarchicalSyncFabric).
+ *
+ * Every waitGE, local read, posted write and fetch&inc keeps its
+ * handler in one slab slot from issue to completion. A blocked wait
+ * parks only its slot, keyed by the image word it spins on (a
+ * variable, or a (cluster, variable) pair). A completion runs from
+ * one event capturing {this, slot}, scheduled at the current tick
+ * when the operation becomes ready, so completions run in the order
+ * they became ready.
+ */
+class ImageOps
+{
+  public:
+    /**
+     * One handler type serves waits (cycles waited), reads and
+     * fetch&incs (the value): Tick and SyncWord are both u64.
+     */
+    using ResultHandler = SyncFabric::ValueHandler;
+    static_assert(std::is_same_v<ResultHandler, SyncFabric::WaitHandler>);
+
+    explicit ImageOps(EventQueue &eq) : eventq(eq) {}
+
+    /** Hold a completion handler until its result is known. */
+    std::uint32_t hold(ResultHandler on_done);
+
+    /**
+     * A waitGE against image word `word` holding `current`: ready
+     * now if it is satisfied, else parked on `word`.
+     */
+    void wait(ProcId who, SyncVarId word, SyncWord threshold,
+              SyncWord current, ResultHandler on_done);
+
+    /**
+     * Image word `word` now holds `value`: make every satisfied
+     * waiter ready, in arrival order, calling on_wake(who, started)
+     * for each first.
+     */
+    template <typename Fn>
+    void
+    release(SyncVarId word, SyncWord value, Fn &&on_wake)
+    {
+        waits.release(word, value, [&](std::uint32_t slot) {
+            const Op &op = ops[slot];
+            on_wake(op.who, op.started);
+            ready(slot, eventq.now() - op.started);
+        });
+    }
+
+    /** Complete held `slot` with `result` from an event this tick. */
+    void ready(std::uint32_t slot, std::uint64_t result);
+
+    /** Complete held `slot` with `result` right now. */
+    void run(std::uint32_t slot, std::uint64_t result);
+
+    /** Complete a posted write from an event this tick. */
+    void writeDone(SyncFabric::DoneHandler on_done);
+
+    /** Blocked waiters per image word (timeline sampling). */
+    const WaitSet &waiting() const { return waits; }
+
+  private:
+    struct Op
+    {
+        ProcId who = 0;
+        Tick started = 0;
+        std::uint64_t result = 0;
+        ResultHandler onResult;
+        SyncFabric::DoneHandler onDone;
+    };
+
+    /** Run and free `slot`'s handler (whichever one it holds). */
+    void fire(std::uint32_t slot);
+
+    EventQueue &eventq;
+    Slab<Op> ops;
+    WaitSet waits;
 };
 
 /**
@@ -382,51 +493,7 @@ class RegisterSyncFabric : public SyncFabric
     void registerStats(stats::Group &group) const override;
 
   private:
-    struct Waiter
-    {
-        ProcId who;
-        SyncWord threshold;
-        Tick started;
-        /** FIFO ordering among waiters of the same variable. */
-        std::uint64_t seq;
-        WaitHandler onDone;
-    };
-
-    struct PendingWrite
-    {
-        SyncWord value;
-        /** Value captured when the broadcast won the bus. */
-        SyncWord latched = 0;
-        bool valid = false;
-    };
-
-    /**
-     * A completion ready to run after the posted-op delay. Wake,
-     * local-read and posted-write-done events all capture only
-     * {this}; the fat handler waits here. The deque is FIFO and
-     * every push pairs with one scheduled event, so pops line up
-     * with event order deterministically.
-     */
-    struct ReadyOp
-    {
-        enum class Kind : std::uint8_t
-        {
-            wake,
-            readValue,
-            writeDone,
-        };
-
-        Kind kind = Kind::wake;
-        Tick waited = 0;
-        SyncWord value = 0;
-        WaitHandler onWait;
-        ValueHandler onValue;
-        DoneHandler onDone;
-    };
-
     void commit(SyncVarId var, SyncWord value);
-    /** Run the oldest queued completion (one per scheduled event). */
-    void runReady();
 
     EventQueue &eventq;
     Bus &syncBus;
@@ -434,22 +501,12 @@ class RegisterSyncFabric : public SyncFabric
     bool coalesceEnabled;
     Tracer *tracer;
     unsigned numVars = 0;
-    std::uint64_t nextWaiterSeq = 0;
 
     std::vector<SyncWord> values;
-    std::vector<std::vector<Waiter>> waiters;
-    /**
-     * Blocked waiters per variable, maintained only while a tracer
-     * is attached (timeline sampling): a sparse mirror of the
-     * non-empty `waiters` lists, so a sample never scans the full
-     * register file.
-     */
-    std::unordered_map<SyncVarId, unsigned> activeWaiters;
+    /** Handlers and waiters; waiters park on their variable. */
+    ImageOps ops;
     /** Pending (not yet granted) write per (proc, var). */
     std::unordered_map<std::uint64_t, PendingWrite> pendingWrites;
-    std::deque<ReadyOp> readyOps;
-    /** Fetch&inc completions, FIFO — the bus grants in FIFO order. */
-    std::deque<ValueHandler> pendingIncs;
 
     stats::Scalar broadcastsStat;
     stats::Scalar coalescedStat;

@@ -4,7 +4,9 @@
  * simulations: the calendar ring is a performance change, not a
  * semantic one. Whole RunResults (every cycle counter, bus stat and
  * event count) are compared as JSON across representative machines:
- * register and memory fabrics, bus and omega interconnects, and the
+ * all four sync fabrics (register, memory, combining omega and
+ * hierarchical clusters, the last two at P >= 64 where their wait
+ * sets fill up), bus and omega interconnects, and the
  * butterfly-barrier FFT workload.
  */
 
@@ -82,6 +84,23 @@ memoryConfig(unsigned procs)
     return cfg;
 }
 
+core::RunConfig
+combiningConfig(unsigned procs)
+{
+    core::RunConfig cfg = registerConfig(procs);
+    cfg.machine.fabric = sim::FabricKind::combining;
+    return cfg;
+}
+
+core::RunConfig
+hierarchicalConfig(unsigned procs, unsigned clusters)
+{
+    core::RunConfig cfg = registerConfig(procs);
+    cfg.machine.fabric = sim::FabricKind::hierarchical;
+    cfg.machine.numClusters = clusters;
+    return cfg;
+}
+
 } // namespace
 
 TEST(EventCoreEquivalenceTest, Fig21OnRegisterFabric)
@@ -111,6 +130,64 @@ TEST(EventCoreEquivalenceTest, MemoryFabricCachedAndPollingSpin)
     polling.machine.cachedSpinning = false;
     expectCoresAgree(loop, sync::SchemeKind::referenceBased, polling,
                      "fig21/reference polling");
+}
+
+TEST(EventCoreEquivalenceTest, CombiningFabricAtP64)
+{
+    // Hot statement counters at P=64: polls park module-side and
+    // release() wakes partial subsets of the combining wait set.
+    dep::Loop loop = workloads::makeFig21Loop(128);
+    expectCoresAgree(loop, sync::SchemeKind::statementOriented,
+                     combiningConfig(64), "fig21-p64/statement comb");
+    expectCoresAgree(loop, sync::SchemeKind::processImproved,
+                     combiningConfig(64), "fig21-p64/process comb");
+}
+
+TEST(EventCoreEquivalenceTest, HierarchicalFabricAtP64)
+{
+    // 8 clusters of 8: every global commit releases each cluster's
+    // waiters, and every wake runs through the ready path.
+    dep::Loop loop = workloads::makeFig21Loop(128);
+    expectCoresAgree(loop, sync::SchemeKind::statementOriented,
+                     hierarchicalConfig(64, 8),
+                     "fig21-p64/statement hier");
+    expectCoresAgree(loop, sync::SchemeKind::processImproved,
+                     hierarchicalConfig(64, 8),
+                     "fig21-p64/process hier");
+}
+
+TEST(EventCoreEquivalenceTest, CounterBarrierFftOnComposedFabricsAtP64)
+{
+    // Fetch&add counter barriers: hierarchical incs batch per
+    // cluster and decombine through the ready path; combining incs
+    // merge in the network while waiters park on the release flag.
+    workloads::FftSpec spec;
+    spec.numProcs = 64;
+    spec.rounds = 2;
+    spec.stageJitter = 40;
+    for (auto fabric : {sim::FabricKind::hierarchical,
+                        sim::FabricKind::combining}) {
+        std::string dumps[2];
+        int i = 0;
+        for (auto core : {sim::EventCoreKind::calendar,
+                          sim::EventCoreKind::heap}) {
+            sim::MachineConfig mcfg;
+            mcfg.numProcs = spec.numProcs;
+            mcfg.fabric = fabric;
+            mcfg.numClusters = 8;
+            mcfg.syncRegisters = 512;
+            mcfg.eventCore = core;
+            sim::Machine machine(mcfg);
+            sync::CounterBarrier barrier(machine.fabric(),
+                                         spec.numProcs);
+            auto progs = workloads::buildFftCounter(barrier, spec);
+            core::RunResult r =
+                core::runPerProcessorPrograms(machine, progs);
+            EXPECT_TRUE(r.completed) << sim::fabricKindName(fabric);
+            dumps[i++] = dumped(r);
+        }
+        EXPECT_EQ(dumps[0], dumps[1]) << sim::fabricKindName(fabric);
+    }
 }
 
 TEST(EventCoreEquivalenceTest, OmegaNetworkMachine)

@@ -201,6 +201,81 @@ TEST(EventQueueTest, DestructorReleasesPendingHandlers)
     EXPECT_EQ(payload.use_count(), 1);
 }
 
+TEST(EventQueueTest, FarTiesFireInSeqOrderAfterMigration)
+{
+    // Far events tied on `when` sit in the far heap as keys. A
+    // limit stop leaves them unmigrated, so same-tick events
+    // scheduled afterwards land in the ring first; migration must
+    // still file the older far keys ahead of them.
+    for (auto core : {EventCoreKind::calendar, EventCoreKind::heap}) {
+        EventQueue eq(core);
+        std::vector<int> order;
+        for (int k = 0; k < 6; ++k)
+            eq.schedule(9000, [&order, k]() { order.push_back(k); });
+        EXPECT_EQ(eq.farEvents(), 6u);
+        EXPECT_FALSE(eq.run(8500));
+        for (int k = 6; k < 9; ++k)
+            eq.schedule(9000, [&order, k]() { order.push_back(k); });
+        EXPECT_TRUE(eq.run());
+        EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8}))
+            << eventCoreKindName(core);
+    }
+}
+
+namespace {
+
+/** Counts destructions of live (not moved-from) copies. */
+struct DestroyCounter
+{
+    int *destroyed;
+    bool live = true;
+
+    explicit DestroyCounter(int *counter) : destroyed(counter) {}
+    DestroyCounter(DestroyCounter &&o) noexcept
+        : destroyed(o.destroyed), live(o.live)
+    {
+        o.live = false;
+    }
+    DestroyCounter(const DestroyCounter &) = delete;
+    ~DestroyCounter()
+    {
+        if (live)
+            ++*destroyed;
+    }
+};
+
+} // namespace
+
+TEST(EventQueueTest, ClearDestroysFarSlabHandlersExactlyOnce)
+{
+    for (auto core : {EventCoreKind::calendar, EventCoreKind::heap}) {
+        int destroyed = 0;
+        int ran = 0;
+        {
+            EventQueue eq(core);
+            for (int k = 0; k < 8; ++k) {
+                DestroyCounter counter(&destroyed);
+                eq.schedule(5000 + 10 * k,
+                            [c = std::move(counter), &ran]() {
+                    (void)c;
+                    ++ran;
+                });
+            }
+            // Run past the first two so their slots are freed and
+            // reused by the rest of the far heap's lifetime.
+            EXPECT_FALSE(eq.run(5015));
+            EXPECT_EQ(ran, 2);
+            EXPECT_EQ(destroyed, 2);
+            EXPECT_EQ(eq.pendingEvents(), 6u);
+            eq.clear();
+            EXPECT_EQ(destroyed, 8) << eventCoreKindName(core);
+            EXPECT_TRUE(eq.empty());
+        }
+        EXPECT_EQ(destroyed, 8) << eventCoreKindName(core);
+        EXPECT_EQ(ran, 2);
+    }
+}
+
 TEST(EventQueueTest, CountsHeapFallbackCaptures)
 {
     EventQueue eq;
