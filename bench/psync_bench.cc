@@ -788,27 +788,32 @@ main(int argc, char **argv)
     // order after the join.
     const ir::PassConfig *passes = benchPasses(opts);
     std::vector<bench::ScenarioRecord> records(selected.size());
-    // Profiling and timeline sampling keep each run's recorder
-    // alive past the run so --profile-trace can render the full
-    // phase tracks (and counter tracks) afterwards.
+    // Profiling and timeline sampling record each run. Only
+    // --profile-trace reads a recorder after its run (to render the
+    // full phase and counter tracks), so only then is it kept alive
+    // past the run; otherwise it goes as soon as the run's profile
+    // and timeline are built.
     bool record_trace = opts.profile || opts.timeline;
+    bool keep_trace = opts.profile && !opts.profileTracePath.empty();
     sim::Tick interval =
         opts.timeline ? (opts.timelineInterval
                              ? opts.timelineInterval
                              : bench::kTimelineAutoInterval)
                       : 0;
     std::vector<std::unique_ptr<core::TraceRecorder>> recorders(
-        record_trace ? selected.size() : 0);
+        keep_trace ? selected.size() : 0);
     auto run_one = [&](std::size_t i) {
         if (!record_trace) {
             records[i] =
                 bench::runScenario(*selected[i], nullptr, passes);
             return;
         }
-        recorders[i] = std::make_unique<core::TraceRecorder>();
+        auto recorder = std::make_unique<core::TraceRecorder>();
         records[i] = bench::runScenario(
-            *selected[i], recorders[i].get(), passes, opts.profile,
+            *selected[i], recorder.get(), passes, opts.profile,
             interval);
+        if (keep_trace)
+            recorders[i] = std::move(recorder);
     };
     unsigned workers = std::min<std::size_t>(opts.jobs,
                                              selected.size());
@@ -890,7 +895,7 @@ main(int argc, char **argv)
                 profile_rc = 1;
             }
 
-            if (!opts.profileTracePath.empty() && recorders[i]) {
+            if (keep_trace && recorders[i]) {
                 std::string path = traceFileFor(
                     opts.profileTracePath, selected[i]->id,
                     selected.size() > 1);

@@ -77,6 +77,14 @@ TraceRecorder::sample(sim::SampleStream stream, std::uint32_t index,
 }
 
 void
+TraceRecorder::thinSamples(sim::Tick origin, sim::Tick stride)
+{
+    std::erase_if(samples_, [&](const TimelineSample &s) {
+        return (s.at - origin) % stride != 0;
+    });
+}
+
+void
 TraceRecorder::nameSyncVar(sim::SyncVarId var,
                            const std::string &label)
 {

@@ -167,6 +167,7 @@ class TraceRecorder : public sim::Tracer
                 sim::Tick end) override;
     void sample(sim::SampleStream stream, std::uint32_t index,
                 sim::Tick at, double value) override;
+    void thinSamples(sim::Tick origin, sim::Tick stride) override;
     void nameSyncVar(sim::SyncVarId var,
                      const std::string &label) override;
 

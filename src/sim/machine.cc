@@ -110,9 +110,11 @@ Machine::runSampled(Tick limit)
     // limit and pauses with everything else intact, so chunking by
     // interval boundaries observes the exact (when, seq) order of
     // an unchunked run — sampling is passive by construction.
-    const Tick interval = config_.timelineInterval;
-    Tick last_sampled = eventq_.now();
+    Tick interval = config_.timelineInterval;
+    const Tick origin = eventq_.now();
+    Tick last_sampled = origin;
     sampleTimeline(last_sampled);
+    std::size_t batches = 1;
     Tick boundary = last_sampled + interval;
     while (boundary < limit) {
         if (eventq_.run(boundary)) {
@@ -124,7 +126,15 @@ Machine::runSampled(Tick limit)
         }
         sampleTimeline(boundary);
         last_sampled = boundary;
-        boundary += interval;
+        if (++batches >= timelineSampleCap) {
+            // Keep the batches on the doubled grid: the series a run
+            // sampled at the doubled interval throughout would have.
+            interval *= 2;
+            tracer_->thinSamples(origin, interval);
+            last_sampled -= (last_sampled - origin) % interval;
+            batches = (last_sampled - origin) / interval + 1;
+        }
+        boundary = last_sampled + interval;
     }
     bool drained = eventq_.run(limit);
     if (drained && eventq_.now() > last_sampled)

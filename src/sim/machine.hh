@@ -13,6 +13,7 @@
 #ifndef PSYNC_SIM_MACHINE_HH
 #define PSYNC_SIM_MACHINE_HH
 
+#include <cstddef>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -149,6 +150,16 @@ syncTopologyOf(const MachineConfig &cfg)
 class Machine
 {
   public:
+    /**
+     * Most timeline sample batches a run keeps. When the series
+     * reaches the cap, every other batch is dropped and sampling
+     * continues at twice the interval, so memory stays bounded
+     * however long the run is. Every registry run but the P=256/1024
+     * flat-memory hot spots stays under it at the auto-picked
+     * interval.
+     */
+    static constexpr std::size_t timelineSampleCap = 4096;
+
     explicit Machine(const MachineConfig &cfg,
                      TraceSink *trace = nullptr,
                      Tracer *tracer = nullptr);

@@ -15,22 +15,38 @@ Memory::Memory(EventQueue &eq, Interconnect &data_net,
       config(cfg),
       tracer(trace),
       moduleFreeAt(cfg.numModules, 0),
+      storeHorizon(horizonSlots, 0),
       accessesStat("memory.module_accesses", cfg.numModules),
       queueDelayStat("memory.module_queue_delay"),
       readsStat("memory.reads"),
       writesStat("memory.writes"),
-      rmwsStat("memory.rmws")
+      rmwsStat("memory.rmws"),
+      settledPollsStat("memory.settled_polls")
 {
     if (config.numModules == 0)
         fatal("memory must have at least one module");
 }
 
+std::uint32_t
+Memory::open(Request::Kind kind, ProcId who, Addr addr,
+             Tick service_cycles)
+{
+    std::uint32_t slot = requests.alloc();
+    Request &req = requests[slot];
+    req.kind = kind;
+    req.who = who;
+    req.addr = addr;
+    Addr word = addr / config.wordBytes;
+    req.module = static_cast<unsigned>(word % config.numModules);
+    req.horizon = static_cast<unsigned>(word % horizonSlots);
+    req.serviceCycles = service_cycles;
+    return slot;
+}
+
 void
 Memory::service(std::uint32_t slot)
 {
-    unsigned module = moduleOf(requests[slot].addr);
-    accessesStat[module] += 1;
-
+    accessesStat[requests[slot].module] += 1;
     dataNet.transact(requests[slot].who,
                      [this, slot](Tick) { arrived(slot); });
 }
@@ -38,21 +54,36 @@ Memory::service(std::uint32_t slot)
 void
 Memory::arrived(std::uint32_t slot)
 {
-    const Request &req = requests[slot];
-    unsigned module = moduleOf(req.addr);
+    Request &req = requests[slot];
     Tick arrive = eventq.now();
-    Tick start = std::max(arrive, moduleFreeAt[module]);
+    Tick start = std::max(arrive, moduleFreeAt[req.module]);
     Tick done = start + req.serviceCycles;
-    moduleFreeAt[module] = done;
+    moduleFreeAt[req.module] = done;
     queueDelayStat += static_cast<double>(start - arrive);
     PSYNC_DPRINTF(eventq, Mem,
                   "module %u service proc %u [%llu, %llu)",
-                  module, req.who,
+                  req.module, req.who,
                   static_cast<unsigned long long>(start),
                   static_cast<unsigned long long>(done));
     PSYNC_TRACE(tracer,
-                resourceBusy("memory.module", module, req.who, start,
-                             done));
+                resourceBusy("memory.module", req.module, req.who,
+                             start, done));
+    Tick &horizon = storeHorizon[req.horizon];
+    if (req.kind == Request::Kind::poll) {
+        // Every store queued ahead completed before this arrival,
+        // and later arrivals complete after `done`: the word holds
+        // now what the read would return then.
+        SyncWord value = peek(req.addr);
+        if (horizon < arrive && value < req.value) {
+            ++settledPollsStat;
+            PollHandler on_done = std::move(req.onPoll);
+            requests.free(slot);
+            on_done(value, done);
+            return;
+        }
+    } else if (req.kind != Request::Kind::readDiscard) {
+        horizon = std::max(horizon, done);
+    }
     eventq.schedule(done, [this, slot]() { complete(slot); });
 }
 
@@ -66,6 +97,12 @@ Memory::complete(std::uint32_t slot)
         ValueHandler on_done = std::move(req.onValue);
         requests.free(slot);
         on_done(peek(addr));
+        return;
+      }
+      case Request::Kind::poll: {
+        PollHandler on_done = std::move(req.onPoll);
+        requests.free(slot);
+        on_done(peek(addr), eventq.now());
         return;
       }
       case Request::Kind::readDiscard: {
@@ -96,13 +133,9 @@ void
 Memory::read(ProcId who, Addr addr, ValueHandler on_done)
 {
     ++readsStat;
-    std::uint32_t slot = requests.alloc();
-    Request &req = requests[slot];
-    req.kind = Request::Kind::read;
-    req.who = who;
-    req.addr = addr;
-    req.serviceCycles = config.serviceCycles;
-    req.onValue = std::move(on_done);
+    std::uint32_t slot =
+        open(Request::Kind::read, who, addr, config.serviceCycles);
+    requests[slot].onValue = std::move(on_done);
     service(slot);
 }
 
@@ -110,13 +143,21 @@ void
 Memory::readDiscard(ProcId who, Addr addr, AccessHandler on_done)
 {
     ++readsStat;
-    std::uint32_t slot = requests.alloc();
-    Request &req = requests[slot];
-    req.kind = Request::Kind::readDiscard;
-    req.who = who;
-    req.addr = addr;
-    req.serviceCycles = config.serviceCycles;
-    req.onAccess = std::move(on_done);
+    std::uint32_t slot = open(Request::Kind::readDiscard, who, addr,
+                              config.serviceCycles);
+    requests[slot].onAccess = std::move(on_done);
+    service(slot);
+}
+
+void
+Memory::poll(ProcId who, Addr addr, SyncWord threshold,
+             PollHandler on_done)
+{
+    ++readsStat;
+    std::uint32_t slot =
+        open(Request::Kind::poll, who, addr, config.serviceCycles);
+    requests[slot].value = threshold;
+    requests[slot].onPoll = std::move(on_done);
     service(slot);
 }
 
@@ -125,14 +166,10 @@ Memory::write(ProcId who, Addr addr, SyncWord value,
               AccessHandler on_done)
 {
     ++writesStat;
-    std::uint32_t slot = requests.alloc();
-    Request &req = requests[slot];
-    req.kind = Request::Kind::write;
-    req.who = who;
-    req.addr = addr;
-    req.value = value;
-    req.serviceCycles = config.serviceCycles;
-    req.onAccess = std::move(on_done);
+    std::uint32_t slot =
+        open(Request::Kind::write, who, addr, config.serviceCycles);
+    requests[slot].value = value;
+    requests[slot].onAccess = std::move(on_done);
     service(slot);
 }
 
@@ -143,27 +180,26 @@ Memory::rmw(ProcId who, Addr addr, Modify modify, ValueHandler on_done)
     // a write; serialized arrivals at one hot word pay the full
     // double service each (the fetch&add funnel of Example 4).
     ++rmwsStat;
-    std::uint32_t slot = requests.alloc();
-    Request &req = requests[slot];
-    req.kind = Request::Kind::rmw;
-    req.who = who;
-    req.addr = addr;
-    req.serviceCycles = 2 * config.serviceCycles;
-    req.modify = std::move(modify);
-    req.onValue = std::move(on_done);
+    std::uint32_t slot = open(Request::Kind::rmw, who, addr,
+                              2 * config.serviceCycles);
+    requests[slot].modify = std::move(modify);
+    requests[slot].onValue = std::move(on_done);
     service(slot);
 }
 
 void
 Memory::serviceAtModule(Addr addr, AccessHandler on_done)
 {
-    unsigned module = moduleOf(addr);
+    Addr word = addr / config.wordBytes;
+    unsigned module = static_cast<unsigned>(word % config.numModules);
     accessesStat[module] += 1;
     Tick arrive = eventq.now();
     Tick start = std::max(arrive, moduleFreeAt[module]);
     Tick done = start + config.serviceCycles;
     moduleFreeAt[module] = done;
     queueDelayStat += static_cast<double>(start - arrive);
+    Tick &horizon = storeHorizon[word % horizonSlots];
+    horizon = std::max(horizon, done);
     PSYNC_TRACE(tracer, resourceBusy("memory.module", module,
                                      /*who=*/0, start, done));
     eventq.schedule(done, std::move(on_done));
@@ -204,6 +240,7 @@ Memory::dumpStats(std::ostream &os) const
     stats::dump(os, readsStat);
     stats::dump(os, writesStat);
     stats::dump(os, rmwsStat);
+    stats::dump(os, settledPollsStat);
 }
 
 void
@@ -214,6 +251,7 @@ Memory::registerStats(stats::Group &group) const
     group.add(readsStat);
     group.add(writesStat);
     group.add(rmwsStat);
+    group.add(settledPollsStat);
 }
 
 } // namespace sim

@@ -55,6 +55,15 @@ class Memory
     using ValueHandler = InlineFunction<void(SyncWord value)>;
     /** Value transformation applied atomically at the module. */
     using Modify = InlineFunction<SyncWord(SyncWord old_value)>;
+    /** Spin-poll callback: the value read and its completion tick. */
+    using PollHandler = InlineFunction<void(SyncWord value, Tick done)>;
+
+    /**
+     * Store-horizon table size: direct-mapped by word index, so two
+     * words sharing a slot share the later horizon. That only costs
+     * a poll the settle shortcut, never exactness.
+     */
+    static constexpr unsigned horizonSlots = 1024;
 
     Memory(EventQueue &eq, Interconnect &data_net,
            const MemoryConfig &cfg, Tracer *tracer = nullptr);
@@ -76,6 +85,20 @@ class Memory
      * adapter closure on the caller's side.
      */
     void readDiscard(ProcId who, Addr addr, AccessHandler on_done);
+
+    /**
+     * A spin poll waiting for `value >= threshold`: a read whose
+     * handler also gets the read's completion tick. Modules are
+     * FIFO, so when the poll reaches its module after every queued
+     * request that can change the word has completed (the word's
+     * store horizon), the word holds on arrival exactly the value
+     * the read returns at completion. If that value fails the
+     * threshold, the poll settles there: the handler runs on
+     * arrival and no completion event is scheduled. Otherwise the
+     * handler runs at completion, as read()'s would.
+     */
+    void poll(ProcId who, Addr addr, SyncWord threshold,
+              PollHandler on_done);
 
     /** Write a word; handler runs at completion. */
     void write(ProcId who, Addr addr, SyncWord value,
@@ -122,6 +145,12 @@ class Memory
      */
     double hotSpotRatio() const;
 
+    /** Polls settled at their module without a completion event. */
+    std::uint64_t settledPolls() const
+    {
+        return static_cast<std::uint64_t>(settledPollsStat.value());
+    }
+
     /** Total cycles requests waited for a busy module. */
     Tick moduleQueueDelay() const
     {
@@ -153,21 +182,34 @@ class Memory
         {
             read,
             readDiscard,
+            poll,
             write,
             rmw,
         };
 
         Kind kind = Kind::read;
         ProcId who = 0;
+        /** Servicing module, computed once at issue. */
+        unsigned module = 0;
+        /** The word's store-horizon slot. */
+        unsigned horizon = 0;
         Addr addr = 0;
+        /** Value to write, or a poll's threshold. */
         SyncWord value = 0;
         Tick serviceCycles = 0;
         Modify modify;
         ValueHandler onValue;
         AccessHandler onAccess;
+        PollHandler onPoll;
     };
 
-    /** Issue the module-side portion of a request. */
+    /**
+     * Take a request slot for `kind` on `addr`, resolving its module
+     * and store-horizon slot once.
+     */
+    std::uint32_t open(Request::Kind kind, ProcId who, Addr addr,
+                       Tick service_cycles);
+    /** Send request `slot` over the interconnect to its module. */
     void service(std::uint32_t slot);
     /** Interconnect delivered the request to its module. */
     void arrived(std::uint32_t slot);
@@ -180,6 +222,13 @@ class Memory
     Tracer *tracer;
 
     std::vector<Tick> moduleFreeAt;
+    /**
+     * Per-word store horizon: the latest completion tick of any
+     * request queued at the module that can change the word (writes,
+     * rmws, plain reads, whose handlers may poke it, and
+     * module-local services). Raised with max, never lowered.
+     */
+    std::vector<Tick> storeHorizon;
     std::unordered_map<Addr, SyncWord> words;
     Slab<Request> requests;
 
@@ -188,6 +237,7 @@ class Memory
     stats::Scalar readsStat;
     stats::Scalar writesStat;
     stats::Scalar rmwsStat;
+    stats::Scalar settledPollsStat;
 };
 
 } // namespace sim

@@ -70,10 +70,10 @@ MemorySyncFabric::trackWaitEnd(SyncVarId var)
 }
 
 void
-MemorySyncFabric::trackPark(ProcId who)
+MemorySyncFabric::trackPark(ProcId who, Tick from)
 {
     if (tracer)
-        parkedProcs.insert(who);
+        parkedProcs[who] = from;
 }
 
 void
@@ -95,7 +95,8 @@ MemorySyncFabric::sampleTimeline(Tracer &t, Tick at) const
 bool
 MemorySyncFabric::isParked(ProcId who) const
 {
-    return parkedProcs.count(who) != 0;
+    auto it = parkedProcs.find(who);
+    return it != parkedProcs.end() && it->second <= eventq.now();
 }
 
 SyncVarId
@@ -112,16 +113,25 @@ void
 MemorySyncFabric::pollLoop(std::uint32_t slot)
 {
     ++pollsStat;
-    PSYNC_TRACE(tracer, syncVarOp(ops[slot].var, "poll",
-                                  ops[slot].who, eventq.now()));
-    memory.read(ops[slot].who, addrOf(ops[slot].var),
-                [this, slot](SyncWord value) {
-        pollValue(slot, value);
+    const OpState &op = ops[slot];
+    PSYNC_TRACE(tracer, syncVarOp(op.var, "poll", op.who, eventq.now()));
+    if (!cachedSpin) {
+        memory.read(op.who, addrOf(op.var), [this, slot](SyncWord value) {
+            pollValue(slot, value, eventq.now());
+        });
+        return;
+    }
+    // A failing poll may settle when it reaches the module, before
+    // its completion tick; the spinner parks as of that tick.
+    memory.poll(op.who, addrOf(op.var), op.threshold,
+                [this, slot](SyncWord value, Tick done) {
+        pollValue(slot, value, done);
     });
 }
 
 void
-MemorySyncFabric::pollValue(std::uint32_t slot, SyncWord value)
+MemorySyncFabric::pollValue(std::uint32_t slot, SyncWord value,
+                            Tick done)
 {
     OpState &op = ops[slot];
     if (value >= op.threshold) {
@@ -139,9 +149,10 @@ MemorySyncFabric::pollValue(std::uint32_t slot, SyncWord value)
     if (cachedSpin) {
         // Spin on the (now cached) copy for free; the next memory
         // fetch happens when a write invalidates it. No poll events
-        // tick while parked — the slot just waits on the list.
-        trackPark(op.who);
-        parked.park(op.var, 0, slot);
+        // tick while parked — the slot just waits on the list,
+        // ranked by the tick its poll completed.
+        trackPark(op.who, done);
+        parked.park(op.var, done, slot);
         return;
     }
     eventq.scheduleIn(pollInterval,
@@ -153,13 +164,30 @@ MemorySyncFabric::invalidate(SyncVarId var)
 {
     // Every parked spinner re-fetches the invalidated word after
     // the poll interval (cache-miss turnaround); a hot word gets a
-    // burst of refills queueing at its module. Wake order is FIFO
-    // by park order.
+    // burst of refills queueing at its module. One event issues the
+    // whole burst, in the order the spinners parked.
+    std::size_t queued = refetchSlots.size();
     parked.releaseAll(var, [this](std::uint32_t slot) {
         trackUnpark(ops[slot].who);
-        eventq.scheduleIn(pollInterval,
-                          [this, slot]() { pollLoop(slot); });
+        refetchSlots.push_back(slot);
     });
+    std::size_t burst = refetchSlots.size() - queued;
+    if (burst > 0)
+        eventq.scheduleIn(pollInterval,
+                          [this, burst]() { refetch(burst); });
+}
+
+void
+MemorySyncFabric::refetch(std::size_t burst)
+{
+    // Bursts are scheduled a fixed interval after non-decreasing
+    // invalidation ticks, so they fire in the order they were
+    // queued: this event's burst is at the front.
+    for (; burst > 0; --burst) {
+        std::uint32_t slot = refetchSlots.front();
+        refetchSlots.pop_front();
+        pollLoop(slot);
+    }
 }
 
 void
@@ -263,7 +291,7 @@ MemorySyncFabric::keyedService(std::uint32_t slot)
         on_done(waited);
         return;
     }
-    trackPark(op.who);
+    trackPark(op.who, eventq.now());
     parkedKeyed.park(key, 0, slot);
 }
 

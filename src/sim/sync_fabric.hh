@@ -20,11 +20,11 @@
 #define PSYNC_SIM_SYNC_FABRIC_HH
 
 #include <cstdint>
+#include <deque>
 #include <ostream>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/bus.hh"
@@ -264,10 +264,15 @@ class MemorySyncFabric : public SyncFabric
     Addr addrOf(SyncVarId var) const;
     /** Issue the next memory poll of the wait parked in `slot`. */
     void pollLoop(std::uint32_t slot);
-    /** A poll returned `value`; satisfy, park or re-poll. */
-    void pollValue(std::uint32_t slot, SyncWord value);
-    /** Wake parked cached-spin waiters of `var` to re-fetch. */
+    /**
+     * A poll completing at tick `done` read `value`; satisfy, park
+     * or re-poll.
+     */
+    void pollValue(std::uint32_t slot, SyncWord value, Tick done);
+    /** Queue one re-fetch burst for the parked spinners of `var`. */
     void invalidate(SyncVarId var);
+    /** Issue the polls of the oldest queued re-fetch burst. */
+    void refetch(std::size_t burst);
     /** Module-side key test + access + increment. */
     void keyedService(std::uint32_t slot);
     /** Re-test keyed requests parked on `key`. */
@@ -289,25 +294,39 @@ class MemorySyncFabric : public SyncFabric
     void trackWaitStart(SyncVarId var);
     /** A blocked wait on `var` was satisfied. */
     void trackWaitEnd(SyncVarId var);
-    /** `who` parked (cached-spin or keyed) / resumed polling. */
-    void trackPark(ProcId who);
+    /**
+     * `who` parked (cached-spin or keyed) as of tick `from`, which
+     * lies ahead of now for a poll settled at its module.
+     */
+    void trackPark(ProcId who, Tick from);
+    /** `who` resumed polling. */
     void trackUnpark(ProcId who);
 
     /**
      * Parked cached-spin waiters and parked keyed requests. Both
-     * wake threshold-free, FIFO by park order, so they park at rank
-     * 0 and release with releaseAll.
+     * wake threshold-free with releaseAll. A cached spinner parks
+     * at the rank of the tick its failed poll completed, so a
+     * release hands spinners out in the order the polls completed
+     * even when a settled poll parked before an earlier one
+     * finished; keyed requests park at rank 0, FIFO.
      */
     WaitSet parked;
     WaitSet parkedKeyed;
 
     /**
+     * Spinner slots of the re-fetch bursts waiting for their poll
+     * interval, oldest burst first.
+     */
+    std::deque<std::uint32_t> refetchSlots;
+
+    /**
      * Timeline-sampling shadow state, maintained only while a
-     * tracer is attached: blocked waiters per variable and the set
-     * of processors currently parked (as opposed to polling).
+     * tracer is attached: blocked waiters per variable and, per
+     * processor currently parked (as opposed to polling), the tick
+     * it counts as parked from.
      */
     std::unordered_map<SyncVarId, unsigned> activeWaiters;
-    std::unordered_set<ProcId> parkedProcs;
+    std::unordered_map<ProcId, Tick> parkedProcs;
 
     stats::Scalar pollsStat;
     stats::Scalar writesStat;

@@ -241,6 +241,19 @@ class Tracer
     }
 
     /**
+     * Drop every timeline sample taken off the grid `origin + k *
+     * stride`. The machine calls this when its series reaches
+     * Machine::timelineSampleCap, doubling the interval, so
+     * the series left is the one sampling at `stride` from the
+     * start would have produced. Default is a no-op.
+     */
+    virtual void
+    thinSamples(Tick origin, Tick stride)
+    {
+        (void)origin; (void)stride;
+    }
+
+    /**
      * Attach a human-readable label to a synchronization variable
      * (called by the schemes at plan time, e.g. "pc[3]", "key[17]").
      */

@@ -11,7 +11,10 @@
  * WaitSet orders a variable's waiters by threshold, so a release
  * touches only the waiters it satisfies. It hands them out in
  * arrival order, which is exactly the order a scan of a FIFO wait
- * list would have woken them in.
+ * list would have woken them in. A threshold-free releaseAll hands
+ * waiters out by (rank, arrival) instead, so callers that park at
+ * rank 0 get FIFO order and callers may rank parks by the tick they
+ * logically happened at.
  */
 
 #ifndef PSYNC_SIM_WAIT_SET_HH
@@ -145,7 +148,10 @@ class KeyHeap
 class WaitSet
 {
   public:
-    /** Park `slot` on `var` until a release of at least `threshold`. */
+    /**
+     * Park `slot` on `var` until a release of at least `threshold`,
+     * or until a releaseAll, which ranks it by `threshold`.
+     */
     void
     park(SyncVarId var, SyncWord threshold, std::uint32_t slot)
     {
@@ -174,10 +180,16 @@ class WaitSet
         while (!heap.empty() && heap.top().rank <= value)
             woken.push_back(heap.pop());
         lowest_[var] = heap.empty() ? noWaiter : heap.top().rank;
-        handOut(woken, std::forward<Fn>(fn));
+        handOut(woken, std::forward<Fn>(fn),
+                [](const SlotKey &a, const SlotKey &b) {
+            return a.seq < b.seq;
+        });
     }
 
-    /** Remove every waiter of `var` and call fn(slot) for each, FIFO. */
+    /**
+     * Remove every waiter of `var` and call fn(slot) for each, by
+     * (rank, arrival): FIFO among waiters parked at equal ranks.
+     */
     template <typename Fn>
     void
     releaseAll(SyncVarId var, Fn &&fn)
@@ -188,7 +200,10 @@ class WaitSet
         woken.swap(scratch_);
         woken.swap(heaps_[var].keys());
         lowest_[var] = noWaiter;
-        handOut(woken, std::forward<Fn>(fn));
+        handOut(woken, std::forward<Fn>(fn), [](const SlotKey &a,
+                                                const SlotKey &b) {
+            return a.rank != b.rank ? a.rank < b.rank : a.seq < b.seq;
+        });
     }
 
     /** Waiters parked on every variable. */
@@ -213,17 +228,15 @@ class WaitSet
     }
 
   private:
-    template <typename Fn>
+    /** Call fn(slot) for each of `woken` in `order`. */
+    template <typename Fn, typename Order>
     void
-    handOut(std::vector<SlotKey> &woken, Fn &&fn)
+    handOut(std::vector<SlotKey> &woken, Fn &&fn, Order order)
     {
-        // Keys pushed with equal ranks stay in arrival order inside
-        // the heap array, so the common case needs no sort.
-        auto by_seq = [](const SlotKey &a, const SlotKey &b) {
-            return a.seq < b.seq;
-        };
-        if (!std::is_sorted(woken.begin(), woken.end(), by_seq))
-            std::sort(woken.begin(), woken.end(), by_seq);
+        // Keys pushed in non-decreasing rank stay in arrival order
+        // inside the heap array, so the common case needs no sort.
+        if (!std::is_sorted(woken.begin(), woken.end(), order))
+            std::sort(woken.begin(), woken.end(), order);
         for (const SlotKey &key : woken)
             fn(key.slot);
         woken.clear();

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "bench/registry.hh"
 #include "core/tracing.hh"
+#include "sim/machine.hh"
 
 using namespace psync;
 
@@ -165,4 +168,69 @@ TEST(RegistryTest, SampledRunAttachesTimelineSummary)
     EXPECT_GT(tl->find("samples")->asNumber(), 1);
     EXPECT_NE(tl->find("peak_bus_occupancy"), nullptr);
     EXPECT_NE(tl->find("hotspots"), nullptr);
+}
+
+namespace {
+
+/**
+ * Keeps only the tick of each timeline sample batch, so a sampled
+ * P=1024 run costs no per-event trace memory.
+ */
+class BatchTicks : public sim::Tracer
+{
+  public:
+    std::vector<sim::Tick> ticks;
+
+    void
+    sample(sim::SampleStream, std::uint32_t, sim::Tick at,
+           double) override
+    {
+        if (ticks.empty() || ticks.back() != at)
+            ticks.push_back(at);
+    }
+
+    void
+    thinSamples(sim::Tick origin, sim::Tick stride) override
+    {
+        std::erase_if(ticks, [&](sim::Tick at) {
+            return (at - origin) % stride != 0;
+        });
+    }
+
+    void phaseInterval(sim::ProcId, sim::TracePhase, sim::Tick,
+                       sim::Tick) override {}
+    void resourceBusy(const std::string &, unsigned, sim::ProcId,
+                      sim::Tick, sim::Tick) override {}
+    void counterSample(const std::string &, sim::Tick,
+                       double) override {}
+    void instant(const std::string &, sim::ProcId,
+                 sim::Tick) override {}
+    void syncVarOp(sim::SyncVarId, const char *, sim::ProcId,
+                   sim::Tick) override {}
+    void waitEdge(sim::SyncVarId, sim::ProcId, sim::Tick,
+                  sim::Tick) override {}
+    void nameSyncVar(sim::SyncVarId, const std::string &) override {}
+};
+
+} // namespace
+
+TEST(RegistryTest, HotSpotTimelineStaysUnderSampleCap)
+{
+    // The auto interval samples p1024-flat-mem (a 130-cycle bound,
+    // ~6.3M cycles) every 16 cycles; the machine's sample cap must
+    // thin that to a bounded series without touching the cycles.
+    const bench::Scenario *s =
+        bench::findScenario("scale-1024/p1024-flat-mem");
+    ASSERT_NE(s, nullptr);
+    bench::ScenarioRecord plain = bench::runScenario(*s);
+
+    BatchTicks batches;
+    bench::ScenarioRecord sampled = bench::runScenario(
+        *s, &batches, nullptr, /*profile=*/false,
+        bench::kTimelineAutoInterval);
+    EXPECT_EQ(sampled.result.run.cycles, plain.result.run.cycles);
+    ASSERT_GE(batches.ticks.size(), 3u);
+    EXPECT_LT(batches.ticks.size(), sim::Machine::timelineSampleCap);
+    EXPECT_GT(batches.ticks[1] - batches.ticks[0], 16u);
+    EXPECT_EQ(batches.ticks.back(), sampled.result.run.cycles);
 }

@@ -307,6 +307,36 @@ TEST(TimelineTest, SampledRunMatchesUnsampledCycles)
     EXPECT_FALSE(rec.samples().empty());
 }
 
+TEST(TimelineTest, SampleCapThinsToTheDoubledIntervalSeries)
+{
+    // A run 2.5 caps long, sampled every cycle, hits the cap twice.
+    // Each time the series halves, which must leave exactly the
+    // samples a run at the final interval takes.
+    constexpr sim::Tick cap = sim::Machine::timelineSampleCap;
+    std::vector<std::vector<sim::Program>> progs;
+    for (unsigned p = 1; p <= 3; ++p)
+        progs.push_back(computeProgram(p, cap * p * 5 / 6 + 7));
+
+    core::TraceRecorder capped;
+    sim::Tick done = runMachine(progs, &capped, 1);
+    core::Timeline tl = core::buildTimeline(capped);
+    EXPECT_LT(tl.numSamples(), cap);
+    EXPECT_EQ(tl.interval, 4u);
+    EXPECT_EQ(tl.boundaries.back(), done);
+
+    core::TraceRecorder coarse;
+    EXPECT_EQ(runMachine(progs, &coarse, 4), done);
+    const auto &got = capped.samples();
+    const auto &want = coarse.samples();
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        ASSERT_EQ(got[k].stream, want[k].stream) << k;
+        ASSERT_EQ(got[k].index, want[k].index) << k;
+        ASSERT_EQ(got[k].at, want[k].at) << k;
+        ASSERT_EQ(got[k].value, want[k].value) << k;
+    }
+}
+
 TEST(TimelineTest, SummaryJsonCarriesPeaksAndHotspots)
 {
     core::TraceRecorder rec;

@@ -152,3 +152,165 @@ TEST(MemoryTest, PokePeekBypassTiming)
     EXPECT_EQ(rig.mem.peek(123 * 8), 77u);
     EXPECT_EQ(rig.mem.totalAccesses(), 0u);
 }
+
+namespace {
+
+/** Outcome of one poll issued through Memory::poll. */
+struct PollProbe
+{
+    bool ran = false;
+    /** Tick the handler ran at. */
+    Tick at = 0;
+    /** Completion tick the handler was given. */
+    Tick done = 0;
+    SyncWord value = 0;
+
+    /** Ran on arrival, ahead of its completion tick. */
+    bool settled() const { return ran && at < done; }
+};
+
+/** Poll `addr` for a value of at least `threshold`. */
+void
+pollInto(Rig &rig, Addr addr, SyncWord threshold, PollProbe &probe)
+{
+    rig.mem.poll(0, addr, threshold,
+                 [&rig, &probe](SyncWord value, Tick done) {
+        probe.ran = true;
+        probe.at = rig.eq.now();
+        probe.done = done;
+        probe.value = value;
+    });
+}
+
+} // namespace
+
+TEST(MemoryTest, SettledPollSchedulesNoEvent)
+{
+    // Same timing as a plain read, minus the completion event.
+    Rig read_rig;
+    read_rig.eq.schedule(10, [&]() {
+        read_rig.mem.read(0, 0, [](SyncWord) {});
+    });
+    read_rig.eq.run();
+
+    Rig rig;
+    rig.mem.poke(0, 3);
+    PollProbe probe;
+    rig.eq.schedule(10, [&]() { pollInto(rig, 0, 4, probe); });
+    rig.eq.run();
+    EXPECT_TRUE(probe.settled());
+    EXPECT_EQ(probe.value, 3u);
+    // 1 bus cycle to arrive at 11, then 4 service cycles.
+    EXPECT_EQ(probe.at, 11u);
+    EXPECT_EQ(probe.done, 15u);
+    EXPECT_EQ(rig.eq.eventsExecuted() + 1,
+              read_rig.eq.eventsExecuted());
+    EXPECT_EQ(rig.mem.settledPolls(), 1u);
+    EXPECT_EQ(rig.mem.totalAccesses(), 1u);
+}
+
+TEST(MemoryTest, SatisfiedPollTakesTheCompletionPath)
+{
+    Rig rig;
+    rig.mem.poke(0, 9);
+    PollProbe probe;
+    rig.eq.schedule(10, [&]() { pollInto(rig, 0, 9, probe); });
+    rig.eq.run();
+    EXPECT_TRUE(probe.ran);
+    EXPECT_FALSE(probe.settled());
+    EXPECT_EQ(probe.value, 9u);
+    EXPECT_EQ(probe.at, 15u);
+    EXPECT_EQ(probe.done, 15u);
+    EXPECT_EQ(rig.mem.settledPolls(), 0u);
+}
+
+TEST(MemoryTest, StoreAheadOfPollForcesCompletionPath)
+{
+    Rig rig;
+    PollProbe probe;
+    rig.eq.schedule(10, [&]() {
+        // The write reaches the module first and completes after
+        // the poll arrives: the poll must read the written value
+        // at its own completion, even though it still fails.
+        rig.mem.write(0, 0, 5, []() {});
+        pollInto(rig, 0, 6, probe);
+    });
+    rig.eq.run();
+    EXPECT_TRUE(probe.ran);
+    EXPECT_FALSE(probe.settled());
+    EXPECT_EQ(probe.value, 5u);
+    EXPECT_EQ(probe.at, 19u); // write [11, 15), poll [15, 19)
+}
+
+TEST(MemoryTest, RmwReadAndModuleServiceCountAsStores)
+{
+    // Each request ahead of the poll at its module can change the
+    // word (a read's handler may poke it); only a readDiscard
+    // cannot.
+    enum class Ahead { rmw, read, atModule, readDiscard };
+    for (Ahead ahead : {Ahead::rmw, Ahead::read, Ahead::atModule,
+                        Ahead::readDiscard}) {
+        Rig rig;
+        PollProbe probe;
+        rig.eq.schedule(10, [&]() {
+            switch (ahead) {
+              case Ahead::rmw:
+                rig.mem.rmw(0, 0, [](SyncWord v) { return v + 1; },
+                            [](SyncWord) {});
+                break;
+              case Ahead::read:
+                rig.mem.read(0, 0, [](SyncWord) {});
+                break;
+              case Ahead::atModule:
+                rig.mem.serviceAtModule(0, []() {});
+                break;
+              case Ahead::readDiscard:
+                rig.mem.readDiscard(0, 0, []() {});
+                break;
+            }
+            pollInto(rig, 0, 100, probe);
+        });
+        rig.eq.run();
+        EXPECT_TRUE(probe.ran);
+        EXPECT_EQ(probe.settled(), ahead == Ahead::readDiscard)
+            << static_cast<int>(ahead);
+    }
+}
+
+TEST(MemoryTest, PollAfterStoreCompletesSettles)
+{
+    Rig rig;
+    PollProbe probe;
+    rig.eq.schedule(10, [&]() { rig.mem.write(0, 0, 5, []() {}); });
+    // The write completes at 15; a poll arriving at 21 settles and
+    // sees its value.
+    rig.eq.schedule(20, [&]() { pollInto(rig, 0, 6, probe); });
+    rig.eq.run();
+    EXPECT_TRUE(probe.settled());
+    EXPECT_EQ(probe.value, 5u);
+    EXPECT_EQ(probe.done, 25u);
+}
+
+TEST(MemoryTest, AliasedHorizonSlotIsConservative)
+{
+    // Words 0 and horizonSlots share a horizon slot but, with three
+    // modules, not a module: the store to the alias is queued
+    // nowhere near the poll, yet it still denies the shortcut, and
+    // the poll reads its own word's value at completion.
+    MemoryConfig cfg;
+    cfg.numModules = 3;
+    Rig rig(cfg);
+    Addr alias = Addr(Memory::horizonSlots) * cfg.wordBytes;
+    ASSERT_NE(rig.mem.moduleOf(alias), rig.mem.moduleOf(0));
+    rig.mem.poke(0, 4);
+    PollProbe probe;
+    rig.eq.schedule(10, [&]() {
+        rig.mem.write(0, alias, 7, []() {});
+        pollInto(rig, 0, 5, probe);
+    });
+    rig.eq.run();
+    EXPECT_TRUE(probe.ran);
+    EXPECT_FALSE(probe.settled());
+    EXPECT_EQ(probe.value, 4u);
+    EXPECT_EQ(probe.at, 16u); // own module: [12, 16)
+}

@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "core/tracing.hh"
 #include "sim/sync_fabric.hh"
 
 using namespace psync::sim;
@@ -279,6 +280,66 @@ TEST(MemoryFabricTest, ReparkedWaitersKeepFifoOrder)
     ASSERT_EQ(woken.size(), 4u);
     for (unsigned p = 0; p < 4; ++p)
         EXPECT_EQ(woken[p], p);
+}
+
+TEST(MemoryFabricTest, InvalidationQueuesOneRefetchEvent)
+{
+    MemRig rig(4, true);
+    SyncVarId v = rig.fab.allocate(1, 0);
+    SyncVarId idle = rig.fab.allocate(1, 0);
+    unsigned woke = 0;
+    rig.eq.schedule(0, [&]() {
+        for (unsigned p = 0; p < 8; ++p)
+            rig.fab.waitGE(p, v, 5, [&](Tick) { ++woke; });
+    });
+    // Events pending when a write completes: its own memory
+    // traffic's, plus whatever its invalidation queued.
+    auto pending_after_write = [&](Tick at, SyncVarId var,
+                                   SyncWord value) {
+        std::size_t pending = 0;
+        rig.eq.schedule(at, [&, var, value]() {
+            rig.fab.write(8, var, value, [&]() {
+                pending = rig.eq.pendingEvents();
+            });
+        });
+        rig.eq.run();
+        return pending;
+    };
+    // Nobody waits on `idle`: its invalidation queues nothing. All
+    // eight spinners on `v` have parked by then, and the
+    // insufficient write's invalidation queues their whole re-fetch
+    // burst as one event.
+    std::size_t baseline = pending_after_write(60, idle, 1);
+    EXPECT_EQ(pending_after_write(100, v, 2), baseline + 1);
+    EXPECT_EQ(woke, 0u);
+    EXPECT_EQ(rig.fab.polls(), 16u);
+    // The refills reach the module after the write completed, so
+    // every failing one settles there.
+    EXPECT_EQ(rig.mem.settledPolls(), 16u);
+
+    pending_after_write(200, v, 9);
+    EXPECT_EQ(woke, 8u);
+}
+
+TEST(MemoryFabricTest, SettledSpinnerCountsAsParkedFromPollCompletion)
+{
+    psync::core::TraceRecorder rec;
+    EventQueue eq;
+    Bus bus(eq, "data_bus", 1);
+    Memory mem(eq, bus, MemoryConfig{});
+    MemorySyncFabric fab(eq, mem, Addr(1) << 40, 4, true, &rec);
+    SyncVarId v = fab.allocate(1, 0);
+    bool parked_early = true;
+    bool parked_at_done = false;
+    eq.schedule(10, [&]() { fab.waitGE(0, v, 1, [](Tick) {}); });
+    // The poll reaches the module at 11 and settles there; the read
+    // it replaces would have completed (and parked) at 15.
+    eq.schedule(14, [&]() { parked_early = fab.isParked(0); });
+    eq.schedule(15, [&]() { parked_at_done = fab.isParked(0); });
+    eq.run();
+    EXPECT_EQ(mem.settledPolls(), 1u);
+    EXPECT_FALSE(parked_early);
+    EXPECT_TRUE(parked_at_done);
 }
 
 TEST(MemoryFabricTest, KeyedRetriesWakeInParkOrder)

@@ -70,13 +70,36 @@ TEST(WaitSetTest, ReleaseAllKeepsParkOrderFifo)
     waits.park(4, 0, 11);
     waits.park(4, 0, 2);
     waits.park(4, 0, 8);
-    // Thresholds are ignored, even out of order.
-    waits.park(4, 50, 5);
-    waits.park(4, 1, 6);
     std::vector<std::uint32_t> slots;
     waits.releaseAll(4, [&](std::uint32_t s) { slots.push_back(s); });
-    EXPECT_EQ(slots, (std::vector<std::uint32_t>{11, 2, 8, 5, 6}));
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{11, 2, 8}));
     EXPECT_EQ(waits.size(), 0u);
+
+    // Mixed ranks hand out by rank first, FIFO within a rank.
+    waits.park(4, 0, 11);
+    waits.park(4, 0, 2);
+    waits.park(4, 50, 5);
+    waits.park(4, 1, 6);
+    waits.park(4, 0, 8);
+    slots.clear();
+    waits.releaseAll(4, [&](std::uint32_t s) { slots.push_back(s); });
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{11, 2, 8, 6, 5}));
+    EXPECT_EQ(waits.size(), 0u);
+}
+
+TEST(WaitSetTest, ReleaseAllHandsOutLateParkWithEarlierRankFirst)
+{
+    // A spinner whose poll settled at its module parks on arrival,
+    // ranked by the tick its poll completes; an earlier poll still
+    // in service parks later but with an earlier completion tick,
+    // and must be handed out first.
+    WaitSet waits;
+    waits.park(1, 40, 7); // settled on arrival, completes at 40
+    waits.park(1, 36, 3); // completed at 36, parked afterwards
+    waits.park(1, 44, 9);
+    std::vector<std::uint32_t> slots;
+    waits.releaseAll(1, [&](std::uint32_t s) { slots.push_back(s); });
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{3, 7, 9}));
 }
 
 TEST(WaitSetTest, WaitersParkedDuringReleaseWaitForTheNextOne)
