@@ -1,10 +1,9 @@
 /**
  * @file
- * Shared helpers for the experiment benches: standard machine
- * configurations and fixed-width table printing. Each bench binary
- * regenerates one experiment from the DESIGN.md index (the paper
- * has no numeric tables, so every figure/claim gets a quantitative
- * table here; EXPERIMENTS.md records claim vs measured).
+ * Shared helpers for the bench drivers: standard machine
+ * configurations, fixed-width table printing, and the JSON record
+ * file bench_micro writes. The experiment tables themselves live in
+ * bench/tables.hh.
  */
 
 #ifndef PSYNC_BENCH_COMMON_HH
@@ -85,20 +84,8 @@ machineFor(sync::SchemeKind kind, unsigned procs = 8,
     return registerMachine(procs, num_pcs);
 }
 
-/** Print a header naming the experiment and the paper claim. */
-inline void
-banner(const char *exp_id, const char *artifact, const char *claim)
-{
-    std::printf("==========================================================="
-                "=====================\n");
-    std::printf("%s  (paper artifact: %s)\n", exp_id, artifact);
-    std::printf("claim: %s\n", claim);
-    std::printf("==========================================================="
-                "=====================\n");
-}
-
 /**
- * Fixed-width table printing shared by the bench binaries. Columns
+ * Fixed-width table printing shared by the bench drivers. Columns
  * are declared once (name, width, alignment); every row then lines
  * up under the header without each bench repeating printf format
  * strings. Cells are pre-formatted strings — use the num() /
@@ -116,6 +103,7 @@ class Table
     };
 
     Table(std::initializer_list<Col> cols) : cols_(cols) {}
+    explicit Table(std::vector<Col> cols) : cols_(std::move(cols)) {}
 
     /** Print the header row from the column names. */
     void
@@ -128,7 +116,7 @@ class Table
 
     /** Print one row; extra cells are ignored, missing ones blank. */
     void
-    row(std::initializer_list<std::string> cells) const
+    row(const std::vector<std::string> &cells) const
     {
         auto it = cells.begin();
         for (const auto &col : cols_) {
@@ -199,7 +187,7 @@ extractJsonPath(int &argc, char **argv)
 /**
  * Collects per-run JSON records and writes them as one document:
  * `{"bench": ..., "records": [...]}`. Records embed
- * RunResult::toJson() so every table row is machine-readable.
+ * RunResult::toJson() so every row is machine-readable.
  */
 class JsonReport
 {

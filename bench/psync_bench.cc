@@ -21,9 +21,12 @@
  *                                            (per-sync-var wait
  *                                            attribution, module
  *                                            heatmap, slack)
+ *   psync_bench --table E3                   print an EXPERIMENTS.md
+ *                                            table and check its
+ *                                            paper claim (or "all")
  *
- * Exit codes: 0 success, 1 regression detected or comparison
- * failure, 2 usage/IO error.
+ * Exit codes: 0 success, 1 regression detected, comparison failure
+ * or a failed paper claim, 2 usage/IO error.
  */
 
 #include <algorithm>
@@ -42,6 +45,7 @@
 #include "bench/compare.hh"
 #include "bench/fuzz.hh"
 #include "bench/registry.hh"
+#include "bench/tables.hh"
 #include "core/blame.hh"
 #include "core/profile.hh"
 #include "core/tracing.hh"
@@ -74,7 +78,6 @@ struct Options
     std::string fuzzReplayPath;
     std::vector<unsigned> threadCounts;
     std::vector<std::string> patterns;
-    std::vector<std::string> globs;
     std::string timelineJsonPath;
     std::string jsonPath;
     std::string baselinePath;
@@ -82,6 +85,7 @@ struct Options
     std::string profileTracePath;
     std::string compareOld;
     std::string compareNew;
+    std::string table;
     bench::CompareOptions compare;
 };
 
@@ -107,6 +111,11 @@ usage(std::FILE *to)
         "                   [--repro-dir DIR] [--no-shrink]\n"
         "                   [--fuzz-replay FILE] [--fuzz-serve]\n"
         "                   [--fuzz-fabric] [--fuzz-timeout-ms MS]\n"
+        "                   [--table ID|all]\n"
+        "\n"
+        "--table E3 prints one EXPERIMENTS.md table (E2-E11,\n"
+        "E13-E15; \"all\" prints every one) and checks the paper\n"
+        "claim it reproduces; exit 1 when a claim fails.\n"
         "\n"
         "--fuzz N generates N seeded random Doacross loops and\n"
         "differentially tests each one: every scheme x both\n"
@@ -154,9 +163,12 @@ usage(std::FILE *to)
         "--timeline-interval N overrides the auto-picked interval\n"
         "(~128 samples per run); --timeline-json FILE writes the\n"
         "full series. Sampling is passive: cycle counts are\n"
-        "identical with it on or off. --scenarios selects by\n"
-        "shell-style glob over scenario ids (\"fig32-*\",\n"
-        "\"*/statement*\").\n");
+        "identical with it on or off.\n"
+        "\n"
+        "A PATTERN (positional, --run or --scenarios) selects\n"
+        "scenario ids by shell-style glob (\"fig32-*\",\n"
+        "\"*/statement*\"); one without * or ? matches an exact id,\n"
+        "else every id containing it.\n");
 }
 
 bool
@@ -286,7 +298,7 @@ parseArgs(int argc, char **argv, Options &opts)
             const char *p = next("--scenarios");
             if (!p)
                 return false;
-            opts.globs.push_back(p);
+            opts.patterns.push_back(p);
         } else if (arg == "--profile-trace") {
             const char *p = next("--profile-trace");
             if (!p)
@@ -333,6 +345,11 @@ parseArgs(int argc, char **argv, Options &opts)
             opts.compareNew = new_path;
         } else if (arg == "--report") {
             opts.report = true;
+        } else if (arg == "--table") {
+            const char *p = next("--table");
+            if (!p)
+                return false;
+            opts.table = p;
         } else if (arg == "--report-json") {
             const char *p = next("--report-json");
             if (!p)
@@ -397,29 +414,20 @@ listScenarios()
 std::vector<const bench::Scenario *>
 selectScenarios(const Options &opts)
 {
-    if (opts.all ||
-        (opts.patterns.empty() && opts.globs.empty()))
+    if (opts.all || opts.patterns.empty())
         return bench::matchScenarios("");
     std::vector<const bench::Scenario *> selected;
-    auto take = [&](const std::string &pattern,
-                    std::vector<const bench::Scenario *> matched) {
-        if (matched.empty()) {
+    for (const auto &pattern : opts.patterns) {
+        auto matched = bench::matchScenariosGlob(pattern);
+        if (matched.empty())
             std::fprintf(stderr, "no scenario matches '%s'\n",
                          pattern.c_str());
-            return;
-        }
         for (const auto *s : matched) {
-            bool seen = false;
-            for (const auto *have : selected)
-                seen = seen || have == s;
-            if (!seen)
+            if (std::find(selected.begin(), selected.end(), s) ==
+                selected.end())
                 selected.push_back(s);
         }
-    };
-    for (const auto &pattern : opts.patterns)
-        take(pattern, bench::matchScenarios(pattern));
-    for (const auto &glob : opts.globs)
-        take(glob, bench::matchScenariosGlob(glob));
+    }
     return selected;
 }
 
@@ -645,6 +653,38 @@ runFuzzReplay(const Options &opts)
     return 1;
 }
 
+/**
+ * --table: render the selected experiment tables and check each
+ * one's paper claim. Every row is trace-checked as it runs; exit 1
+ * when any claim fails.
+ */
+int
+runTables(const std::string &which)
+{
+    std::vector<const bench::ExperimentTable *> tables;
+    for (const auto &t : bench::experimentTables()) {
+        if (which == "all" || which == t.id)
+            tables.push_back(&t);
+    }
+    if (tables.empty()) {
+        std::fprintf(stderr, "no experiment table '%s'\n", which.c_str());
+        return 2;
+    }
+    int rc = 0;
+    for (const auto *t : tables) {
+        bench::Rows rows = t->rows();
+        bench::renderTable(*t, rows);
+        std::string failure = t->check(rows);
+        if (failure.empty()) {
+            std::printf("%s claim holds\n\n", t->id);
+        } else {
+            std::printf("%s CLAIM FAILED: %s\n\n", t->id, failure.c_str());
+            rc = 1;
+        }
+    }
+    return rc;
+}
+
 /** Report a run whose handlers spilled to the heap; true if so. */
 bool
 heapFellBack(const std::string &id, const core::RunResult &run)
@@ -749,6 +789,9 @@ main(int argc, char **argv)
 
     if (opts.report)
         return runReports(opts);
+
+    if (!opts.table.empty())
+        return runTables(opts.table);
 
     auto selected = selectScenarios(opts);
     if (selected.empty()) {

@@ -2,14 +2,16 @@
  * @file
  * Declarative experiment registry.
  *
- * Every Doacross experiment the `bench_*` binaries hard-code —
- * scheme x workload x machine configuration — is named here as a
- * Scenario with a stable id ("<group>/<variant>"). The `psync_bench`
- * driver runs any subset and appends schema-versioned records to a
- * trajectory file (BENCH_PSYNC.json), so cycle counts are
- * comparable across commits and regressions are machine-detectable
- * (bench/compare). Scenario ids are the regression-tracking
- * contract: renaming one orphans its history.
+ * The tracked Doacross experiments — scheme x workload x machine
+ * configuration — are named here as Scenarios with stable ids
+ * ("<group>/<variant>"). The `psync_bench` driver runs any subset
+ * and appends schema-versioned records to a trajectory file
+ * (BENCH_PSYNC.json), so cycle counts are comparable across commits
+ * and regressions are machine-detectable (bench/compare). Scenario
+ * ids are the regression-tracking contract: renaming one orphans its
+ * history. The experiment tables (bench/tables.hh) run their rows
+ * through the same runScenario and reuse the registered scenarios
+ * their rows share, but never register rows of their own.
  */
 
 #ifndef PSYNC_BENCH_REGISTRY_HH
