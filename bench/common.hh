@@ -1,21 +1,19 @@
 /**
  * @file
  * Shared helpers for the bench drivers: standard machine
- * configurations, fixed-width table printing, and the JSON record
- * file bench_micro writes. The experiment tables themselves live in
- * bench/tables.hh.
+ * configurations and fixed-width table printing. The experiment
+ * tables themselves live in bench/tables.hh.
  */
 
 #ifndef PSYNC_BENCH_COMMON_HH
 #define PSYNC_BENCH_COMMON_HH
 
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
-#include "core/json.hh"
 #include "core/runtime.hh"
 
 namespace psync {
@@ -161,90 +159,6 @@ class Table
     }
 
     std::vector<Col> cols_;
-};
-
-/**
- * Pull a `--json <path>` flag out of argv (compacting it in place so
- * later argument parsers — e.g. google-benchmark's — never see it).
- * @return the path, or empty when the flag is absent.
- */
-inline std::string
-extractJsonPath(int &argc, char **argv)
-{
-    std::string path;
-    int out = 1;
-    for (int in = 1; in < argc; ++in) {
-        if (std::string(argv[in]) == "--json" && in + 1 < argc) {
-            path = argv[++in];
-            continue;
-        }
-        argv[out++] = argv[in];
-    }
-    argc = out;
-    return path;
-}
-
-/**
- * Collects per-run JSON records and writes them as one document:
- * `{"bench": ..., "records": [...]}`. Records embed
- * RunResult::toJson() so every row is machine-readable.
- */
-class JsonReport
-{
-  public:
-    explicit JsonReport(std::string path, std::string bench_name)
-        : path_(std::move(path)), benchName_(std::move(bench_name))
-    {
-    }
-
-    bool enabled() const { return !path_.empty(); }
-
-    /** Append one record; extra fields go in front of the result. */
-    void
-    add(core::json::Value record)
-    {
-        records_.push(std::move(record));
-    }
-
-    /** Convenience: label + scheme plan + run result. */
-    void
-    addRun(const std::string &workload, const std::string &scheme,
-           const core::DoacrossResult &r)
-    {
-        core::json::Value rec = core::json::object();
-        rec.set("workload", workload);
-        rec.set("scheme", scheme);
-        rec.set("sync_vars", r.plan.numSyncVars);
-        rec.set("sync_storage_bytes", r.plan.syncStorageBytes);
-        rec.set("renamed_storage_bytes", r.plan.renamedStorageBytes);
-        rec.set("init_cycles",
-                static_cast<std::uint64_t>(r.initCycles));
-        rec.set("result", r.run.toJson());
-        add(std::move(rec));
-    }
-
-    /** Write the document; call once at the end of main. */
-    void
-    write()
-    {
-        if (!enabled())
-            return;
-        core::json::Value doc = core::json::object();
-        doc.set("bench", benchName_);
-        doc.set("records", std::move(records_));
-        std::ofstream os(path_);
-        if (!os) {
-            std::fprintf(stderr, "cannot write %s\n", path_.c_str());
-            std::exit(1);
-        }
-        doc.dump(os, 2);
-        os << "\n";
-    }
-
-  private:
-    std::string path_;
-    std::string benchName_;
-    core::json::Value records_ = core::json::array();
 };
 
 /** Abort the bench if a run was incorrect or deadlocked. */

@@ -1,6 +1,8 @@
 #include "bench/compare.hh"
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <iomanip>
 #include <map>
 #include <sstream>
@@ -16,6 +18,56 @@ makeTrajectoryDoc()
     core::json::Value doc = core::json::object();
     doc.set("schema_version", kTrajectorySchemaVersion);
     doc.set("records", core::json::array());
+    return doc;
+}
+
+bool
+readJsonFile(const std::string &path, core::json::Value &out)
+{
+    std::ifstream is(path);
+    if (!is) {
+        std::fprintf(stderr, "cannot read %s\n", path.c_str());
+        return false;
+    }
+    std::ostringstream text;
+    text << is.rdbuf();
+    auto parsed = core::json::parse(text.str());
+    if (!parsed.ok) {
+        std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                     parsed.error.c_str());
+        return false;
+    }
+    out = std::move(parsed.value);
+    return true;
+}
+
+bool
+writeJsonFile(const std::string &path, const core::json::Value &doc)
+{
+    std::ofstream os(path);
+    if (!os) {
+        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return false;
+    }
+    doc.dump(os, 2);
+    os << "\n";
+    return true;
+}
+
+core::json::Value
+openTrajectory(const std::string &path)
+{
+    core::json::Value doc = makeTrajectoryDoc();
+    core::json::Value existing;
+    if (!std::ifstream(path) || !readJsonFile(path, existing) ||
+        !loadTrajectory(existing).ok)
+        return doc;
+    // Kept records may predate the current layout; the fresh header
+    // restamps the version once instead of appending a second key.
+    for (auto &member : doc.asObject()) {
+        if (member.first == "records")
+            member.second = *existing.find("records");
+    }
     return doc;
 }
 

@@ -29,6 +29,24 @@ namespace bench {
 /** Empty trajectory document (schema header, no records). */
 core::json::Value makeTrajectoryDoc();
 
+/** Parse the JSON file at `path`; false (reason on stderr) when it
+ * cannot be read or parsed. */
+bool readJsonFile(const std::string &path, core::json::Value &out);
+
+/** Pretty-print `doc` to `path`; false (reason on stderr) when the
+ * file cannot be written. */
+bool writeJsonFile(const std::string &path,
+                   const core::json::Value &doc);
+
+/**
+ * The trajectory to append to before rewriting `path`: the file's
+ * records under a current-version header, or an empty document
+ * when the file is absent (or `path` is empty) or is not a
+ * trajectory. A partial rerun thus keeps every other scenario's
+ * record.
+ */
+core::json::Value openTrajectory(const std::string &path);
+
 /**
  * Insert `record` into trajectory `doc`, replacing any existing
  * record with the same "scenario" id (appends otherwise).

@@ -340,6 +340,12 @@ runFuzzCase(const dep::Loop &loop, const FuzzCaseConfig &ccfg,
                 core::CriticalPathCosts costs =
                     core::CriticalPathCosts::fromMachine(
                         cfg.machine);
+                // Reference-based keys order single accesses: the
+                // sink statement's other accesses and compute
+                // overlap its source, so only the access-level
+                // chain bounds it from below.
+                costs.perAccess =
+                    kind == sync::SchemeKind::referenceBased;
                 dep::DepGraph graph(loop, false);
                 core::CriticalPath dp =
                     core::criticalPath(graph, costs);

@@ -16,7 +16,10 @@
  * On small instance DAGs a fourth, analytical oracle is gated too:
  * the closed-form critical path (core::analyticalCriticalPath) must
  * equal the DP bound exactly, and the profiled achieved path must
- * land in [analytical bound, simulated cycles].
+ * land in [analytical bound, simulated cycles]. The bound chains
+ * arcs at the granularity the gated scheme synchronizes: access to
+ * access for reference-based keys, statement to statement
+ * otherwise.
  *
  * Any divergence is shrunk (greedy iteration/statement/reference
  * bisection over the canonical grammar) and emitted as a

@@ -33,10 +33,8 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -368,39 +366,6 @@ parseArgs(int argc, char **argv, Options &opts)
     return true;
 }
 
-bool
-readJsonFile(const std::string &path, core::json::Value &out)
-{
-    std::ifstream is(path);
-    if (!is) {
-        std::fprintf(stderr, "cannot read %s\n", path.c_str());
-        return false;
-    }
-    std::ostringstream text;
-    text << is.rdbuf();
-    auto parsed = core::json::parse(text.str());
-    if (!parsed.ok) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     parsed.error.c_str());
-        return false;
-    }
-    out = std::move(parsed.value);
-    return true;
-}
-
-bool
-writeJsonFile(const std::string &path, const core::json::Value &doc)
-{
-    std::ofstream os(path);
-    if (!os) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-    }
-    doc.dump(os, 2);
-    os << "\n";
-    return true;
-}
-
 void
 listScenarios()
 {
@@ -502,19 +467,7 @@ runNative(const Options &opts,
     if (threads.empty())
         threads = {2, 4};
 
-    core::json::Value doc = bench::makeTrajectoryDoc();
-    if (!opts.jsonPath.empty()) {
-        std::ifstream exists(opts.jsonPath);
-        if (exists) {
-            core::json::Value existing;
-            if (readJsonFile(opts.jsonPath, existing) &&
-                bench::loadTrajectory(existing).ok) {
-                doc = std::move(existing);
-                doc.set("schema_version",
-                        bench::kTrajectorySchemaVersion);
-            }
-        }
-    }
+    core::json::Value doc = bench::openTrajectory(opts.jsonPath);
 
     bench::Table table{{"record", 48, 'l'},
                        {"wall-ms", 8},
@@ -551,7 +504,7 @@ runNative(const Options &opts,
     }
 
     if (!opts.jsonPath.empty() &&
-        !writeJsonFile(opts.jsonPath, doc))
+        !bench::writeJsonFile(opts.jsonPath, doc))
         return 2;
     return 0;
 }
@@ -605,24 +558,14 @@ runFuzz(const Options &opts)
         core::json::Value doc = core::json::object();
         doc.set("schema_version", bench::kTrajectorySchemaVersion);
         doc.set("campaign", result.toJson());
-        if (!writeJsonFile(opts.fuzzJsonPath, doc))
+        if (!bench::writeJsonFile(opts.fuzzJsonPath, doc))
             return 2;
     }
 
     if (!opts.jsonPath.empty()) {
-        core::json::Value doc = bench::makeTrajectoryDoc();
-        std::ifstream exists(opts.jsonPath);
-        if (exists) {
-            core::json::Value existing;
-            if (readJsonFile(opts.jsonPath, existing) &&
-                bench::loadTrajectory(existing).ok) {
-                doc = std::move(existing);
-                doc.set("schema_version",
-                        bench::kTrajectorySchemaVersion);
-            }
-        }
+        core::json::Value doc = bench::openTrajectory(opts.jsonPath);
         bench::mergeRecord(doc, result.toJson());
-        if (!writeJsonFile(opts.jsonPath, doc))
+        if (!bench::writeJsonFile(opts.jsonPath, doc))
             return 2;
     }
     return result.ok() ? 0 : 1;
@@ -633,7 +576,7 @@ int
 runFuzzReplay(const Options &opts)
 {
     core::json::Value bundle;
-    if (!readJsonFile(opts.fuzzReplayPath, bundle))
+    if (!bench::readJsonFile(opts.fuzzReplayPath, bundle))
         return 2;
     std::vector<std::string> failures;
     if (!bench::replayFuzzBundle(bundle, failures)) {
@@ -748,7 +691,7 @@ runReports(const Options &opts)
         core::json::Value doc = core::json::object();
         doc.set("schema_version", bench::kTrajectorySchemaVersion);
         doc.set("reports", std::move(reports));
-        if (!writeJsonFile(opts.reportJsonPath, doc))
+        if (!bench::writeJsonFile(opts.reportJsonPath, doc))
             return 2;
     }
     return fell_back ? 1 : 0;
@@ -772,8 +715,8 @@ main(int argc, char **argv)
 
     if (!opts.compareOld.empty()) {
         core::json::Value old_doc, new_doc;
-        if (!readJsonFile(opts.compareOld, old_doc) ||
-            !readJsonFile(opts.compareNew, new_doc))
+        if (!bench::readJsonFile(opts.compareOld, old_doc) ||
+            !bench::readJsonFile(opts.compareNew, new_doc))
             return 2;
         bench::CompareResult result = bench::compareTrajectories(
             old_doc, new_doc, opts.compare);
@@ -803,23 +746,7 @@ main(int argc, char **argv)
     if (opts.native)
         return runNative(opts, selected);
 
-    // Start from the existing trajectory file when appending, so a
-    // partial rerun keeps the other scenarios' records.
-    core::json::Value doc = bench::makeTrajectoryDoc();
-    if (!opts.jsonPath.empty()) {
-        std::ifstream exists(opts.jsonPath);
-        if (exists) {
-            core::json::Value existing;
-            if (readJsonFile(opts.jsonPath, existing) &&
-                bench::loadTrajectory(existing).ok) {
-                doc = std::move(existing);
-                // Kept records may predate the current layout;
-                // restamp the header since we rewrite the file.
-                doc.set("schema_version",
-                        bench::kTrajectorySchemaVersion);
-            }
-        }
-    }
+    core::json::Value doc = bench::openTrajectory(opts.jsonPath);
 
     // Run the selected scenarios: in order on this thread, or
     // claimed index-at-a-time by a worker pool under --jobs. Every
@@ -951,7 +878,7 @@ main(int argc, char **argv)
                 for (auto &ev : path_events.asArray())
                     events.push(std::move(ev));
                 trace.set("traceEvents", std::move(events));
-                if (!writeJsonFile(path, trace))
+                if (!bench::writeJsonFile(path, trace))
                     return 2;
                 std::printf("wrote %s\n", path.c_str());
             }
@@ -979,7 +906,7 @@ main(int argc, char **argv)
             tdoc.set("schema_version",
                      bench::kTrajectorySchemaVersion);
             tdoc.set("timelines", std::move(timelines));
-            if (!writeJsonFile(opts.timelineJsonPath, tdoc))
+            if (!bench::writeJsonFile(opts.timelineJsonPath, tdoc))
                 return 2;
             std::printf("wrote %s\n",
                         opts.timelineJsonPath.c_str());
@@ -987,7 +914,7 @@ main(int argc, char **argv)
     }
 
     if (!opts.jsonPath.empty() &&
-        !writeJsonFile(opts.jsonPath, doc))
+        !bench::writeJsonFile(opts.jsonPath, doc))
         return 2;
 
     if (opts.forbidHeapFallback) {
@@ -1001,7 +928,7 @@ main(int argc, char **argv)
 
     if (!opts.baselinePath.empty()) {
         core::json::Value baseline;
-        if (!readJsonFile(opts.baselinePath, baseline))
+        if (!bench::readJsonFile(opts.baselinePath, baseline))
             return 2;
         bench::CompareResult result = bench::compareTrajectories(
             baseline, fresh, opts.compare);

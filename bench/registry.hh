@@ -78,10 +78,16 @@ namespace bench {
  * flat fabrics, so memory/register records differ from v8 only in
  * the version stamp. v9 also introduces the scale-1024 scenario
  * group and, on fuzz records, a conditional "fabric_rotation"
- * marker for --fuzz-fabric campaigns. Loaders accept all versions
- * and ignore non-"sim" records when comparing cycles.
+ * marker for --fuzz-fabric campaigns; v10 reshapes the
+ * kind:"serve" records to one cell per traffic mix: they lose
+ * "wake_policy", "winner" and "latency_p50_ns"/"latency_p95_ns"/
+ * "latency_p99_ns", the campaign summary loses "winners", and the
+ * record ids drop the policy ("serve/<mix>#g<G>x<S>") — sim,
+ * native and fuzz records differ from v9 only in the version
+ * stamp. Loaders accept all versions and ignore non-"sim" records
+ * when comparing cycles.
  */
-constexpr int kTrajectorySchemaVersion = 9;
+constexpr int kTrajectorySchemaVersion = 10;
 
 /** Oldest trajectory schema loadTrajectory still accepts. */
 constexpr int kMinTrajectorySchemaVersion = 1;

@@ -1,18 +1,18 @@
 /**
  * @file
  * Runtime-service campaigns: sustained mixed traffic against
- * serve::DoacrossService, recorded as trajectory schema v8
- * kind:"serve" records.
+ * serve::DoacrossService, recorded as kind:"serve" trajectory
+ * records.
  *
- * A campaign is a grid of cells: traffic mix x fabric wake policy.
- * Each cell boots a fresh service (persistent gangs, plan cache,
- * epoch-reused fabrics), drives `requests` submissions drawn from
- * the bench registry's scenarios, waits for the service to drain,
- * and snapshots throughput (programs_per_sec), plan-cache hit
- * rate, and submit-to-publish latency percentiles. The two wake
- * policies — the 64-shard mutex+condvar design and the
- * flat-combining contender — run the identical traffic, and the
- * faster one per mix is marked as the winner in the records.
+ * A campaign is one cell per traffic mix. Each cell boots a fresh
+ * service (persistent gangs, plan cache, epoch-reused fabrics),
+ * submits `requests` executions drawn from the bench registry's
+ * scenarios as fast as the queue takes them, waits for the service
+ * to drain, and snapshots throughput (programs_per_sec) and
+ * plan-cache hit rate. Requests wait in the queue for most of a
+ * cell, so the cell measures throughput only; perfbench's
+ * serve-open-loop workload measures latency from scheduled
+ * arrivals.
  *
  * Traffic mixes:
  *  - uniform: requests draw uniformly over the matched scenarios'
@@ -21,8 +21,8 @@
  *    uniformly (cache/arena skew, the service's best case and the
  *    fabric's most contended);
  *  - bursty: uniform draw, but submissions arrive in bursts with a
- *    full drain between bursts (queue-depth spikes show up in the
- *    latency tail).
+ *    full drain between bursts (the queue repeatedly fills and
+ *    empties).
  *
  * Per-request init-cost amortization (the paper's section 4
  * argument, measured at service scale): every request logically
@@ -45,7 +45,7 @@
 namespace psync {
 namespace bench {
 
-/** Campaign shape (one grid of mix x policy cells). */
+/** Campaign shape (one cell per traffic mix). */
 struct ServeCampaignOptions
 {
     /** Requests per cell. */
@@ -62,15 +62,12 @@ struct ServeCampaignOptions
     std::uint64_t burstSize = 128;
     /** Mixes to run; empty = all three. */
     std::vector<std::string> mixes;
-    /** Wake policies to race; empty = both. */
-    std::vector<native::WakePolicy> policies;
 };
 
-/** Result of one campaign cell (mix x policy). */
+/** Result of one campaign cell (one mix). */
 struct ServeCellResult
 {
     std::string mix;
-    native::WakePolicy policy = native::WakePolicy::sharded;
     unsigned gangs = 0;
     unsigned gangSize = 0;
     std::uint64_t requests = 0;
@@ -82,13 +79,8 @@ struct ServeCellResult
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;
     double planCacheHitRate = 0.0;
-    std::uint64_t latencyP50Ns = 0;
-    std::uint64_t latencyP95Ns = 0;
-    std::uint64_t latencyP99Ns = 0;
     /** Whole-cell host wall time, submission through drain. */
     std::uint64_t hostNanos = 0;
-    /** Fastest policy of this mix (set after the race). */
-    bool winner = false;
 
     double
     programsPerSec() const
@@ -99,9 +91,9 @@ struct ServeCellResult
                static_cast<double>(hostNanos);
     }
 
-    /** Record id: "serve/<mix>#<policy>-g<gangs>x<gangSize>". */
+    /** Record id: "serve/<mix>#g<gangs>x<gangSize>". */
     std::string recordId() const;
-    /** One schema-v8 kind:"serve" trajectory record. */
+    /** One kind:"serve" trajectory record. */
     core::json::Value toJson() const;
 };
 

@@ -39,6 +39,18 @@ struct CriticalPathCosts
      */
     sim::Tick syncHopCycles = 0;
 
+    /**
+     * Chain arcs access to access instead of statement to
+     * statement. A statement instance then runs as emitted — one
+     * step per read, its compute, one step per write — and an arc's
+     * sink access waits only for its source access. Schemes that
+     * order single accesses (reference-based keys) overlap the rest
+     * of the sink statement with its source, so only this bound is a
+     * lower bound for them; schemes that synchronize whole
+     * statements keep the tighter statement-level default.
+     */
+    bool perAccess = false;
+
     /** Derive from a machine configuration. */
     static CriticalPathCosts
     fromMachine(const sim::MachineConfig &mc)
@@ -93,10 +105,11 @@ struct CriticalPath
 };
 
 /**
- * Longest chain through the instance graph of `graph`'s loop.
- * Branch guards are resolved exactly as execution resolves them;
- * covered arcs contribute nothing extra (their chains are already
- * present). O(iterations x statements x arcs).
+ * Longest chain through the instance graph of `graph`'s loop, at
+ * the granularity `costs.perAccess` selects. Branch guards are
+ * resolved exactly as execution resolves them; covered arcs
+ * contribute nothing extra (their chains are already present).
+ * O(iterations x steps x arcs).
  */
 CriticalPath criticalPath(const dep::DepGraph &graph,
                           const CriticalPathCosts &costs);

@@ -24,27 +24,16 @@
  * sequence.
  *
  * Waiting is spin-then-park. After a bounded spin of acquire loads
- * (with a CPU relax hint) the waiter parks under one of two
- * interchangeable wake policies:
+ * (with a CPU relax hint) the waiter parks on one of 64
+ * mutex+condvar shards keyed by variable id. Writers wake a shard
+ * only when its waiter count says someone may be parked; the count
+ * handshake uses seq_cst so a parker that checked the old value
+ * cannot miss the notify (Dekker-style store/load pairs).
  *
- *  - WakePolicy::sharded (default): 64 mutex+condvar shards keyed
- *    by variable id. Writers wake a shard only when its waiter
- *    count says someone may be parked; the count handshake uses
- *    seq_cst so a parker that checked the old value cannot miss
- *    the notify (Dekker-style store/load pairs).
- *
- *  - WakePolicy::flatCombining: waiters publish (var, threshold)
- *    nodes on one combiner-locked list and park on a private
- *    condvar each. Writers never block on the wake path: they set
- *    a dirty flag and try-lock the combiner; whoever holds the
- *    lock drains all pending wakes before releasing it (HSynch-
- *    style delegation). One writer's lock acquisition thus batches
- *    the wakeups every concurrent writer requested.
- *
- * Both policies time-bound each parked sleep, so even a lost
- * notify race costs microseconds, not a hang. waitGE takes a
- * deadline past which the whole fabric aborts — a deadlocked
- * scheme turns into completed=false instead of a stuck process.
+ * Each parked sleep is time-bounded, so even a lost notify race
+ * costs microseconds, not a hang. waitGE takes a deadline past
+ * which the whole fabric aborts — a deadlocked scheme turns into
+ * completed=false instead of a stuck process.
  *
  * Epoch-based reuse (the runtime service's init-cost amortization,
  * paper section 4): enableEpochReuse() snapshots the current
@@ -79,17 +68,9 @@ namespace native {
 /** Host-time point used for wait deadlines. */
 using Deadline = std::chrono::steady_clock::time_point;
 
-/** How writers wake parked waitGE callers. */
-enum class WakePolicy
-{
-    /** 64 mutex+condvar shards keyed by variable id. */
-    sharded,
-    /** One combiner-locked waiter list; writers delegate wakes. */
-    flatCombining,
-};
-
-/** Printable wake-policy name ("sharded" / "flat-combining"). */
-const char *wakePolicyName(WakePolicy policy);
+/** Selects nothing: kept because perfbench's serve workload still
+ * passes it to the init-image constructor. */
+enum class WakePolicy { sharded };
 
 /** Spin/park counters of one waitGE call. */
 struct WaitOutcome
@@ -123,8 +104,7 @@ struct WaitOutcome
 class NativeSyncFabric
 {
   public:
-    explicit NativeSyncFabric(unsigned spin_limit = 64,
-                              WakePolicy policy = WakePolicy::sharded);
+    explicit NativeSyncFabric(unsigned spin_limit = 64);
 
     /**
      * Mirror a planned simulator fabric: allocate the same number
@@ -133,8 +113,7 @@ class NativeSyncFabric
      * unchanged.
      */
     NativeSyncFabric(const sim::SyncFabric &planned,
-                     unsigned spin_limit = 64,
-                     WakePolicy policy = WakePolicy::sharded);
+                     unsigned spin_limit = 64);
 
     /**
      * Build from a saved init image (a cached plan's snapshot of
@@ -155,8 +134,6 @@ class NativeSyncFabric
     {
         return static_cast<unsigned>(words_.size());
     }
-
-    WakePolicy wakePolicy() const { return policy_; }
 
     /** Acquire-load the current value. */
     sim::SyncWord
@@ -259,16 +236,6 @@ class NativeSyncFabric
         std::atomic<unsigned> waiters{0};
     };
 
-    /** One parked flat-combining waiter (stack-allocated). */
-    struct FcNode
-    {
-        sim::SyncVarId var = 0;
-        sim::SyncWord threshold = 0;
-        std::atomic<bool> satisfied{false};
-        std::mutex m;
-        std::condition_variable cv;
-    };
-
     static constexpr unsigned kNumShards = 64;
 
     /** Tag bit marking a word mid-claim by its epoch's first writer. */
@@ -315,22 +282,6 @@ class NativeSyncFabric
     }
 
     void wake(sim::SyncVarId var);
-    void wakeSharded(sim::SyncVarId var);
-    void wakeFlatCombining();
-
-    /** Drain pending FC wakes; call with fcMutex_ held. Every
-     * holder of fcMutex_ drains before unlocking, so a writer whose
-     * try_lock failed still gets its wake delivered. */
-    void fcDrainLocked();
-
-    WaitOutcome waitParkSharded(sim::SyncVarId var,
-                                sim::SyncWord threshold,
-                                Deadline deadline, bool timed,
-                                WaitOutcome out);
-    WaitOutcome waitParkFlatCombining(sim::SyncVarId var,
-                                      sim::SyncWord threshold,
-                                      Deadline deadline, bool timed,
-                                      WaitOutcome out);
 
     /**
      * deque keeps element addresses stable across setup-time
@@ -343,19 +294,12 @@ class NativeSyncFabric
     std::vector<sim::SyncWord> init_;
     mutable Shard shards_[kNumShards];
     unsigned spinLimit_;
-    WakePolicy policy_;
     bool epochEnabled_ = false;
     /** Current epoch number; tags start stale at 0, epochs at 1. */
     std::atomic<std::uint64_t> epoch_{1};
     std::atomic<bool> aborted_{false};
     std::atomic<std::uint64_t> totalParks_{0};
     std::atomic<std::uint64_t> totalWakeups_{0};
-
-    /** Flat-combining state (policy_ == flatCombining). */
-    std::mutex fcMutex_;
-    std::vector<FcNode *> fcWaiters_;
-    std::atomic<bool> fcDirty_{false};
-    std::atomic<unsigned> fcRegistered_{0};
 };
 
 } // namespace native

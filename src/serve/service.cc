@@ -38,7 +38,7 @@ DoacrossService::Arena::Arena(
     const std::shared_ptr<const core::CachedPlan> &p,
     const ServeConfig &cfg)
     : plan(p),
-      fabric(p->initWords, cfg.native.spinLimit, cfg.wakePolicy),
+      fabric(p->initWords, cfg.native.spinLimit),
       data(p->programs),
       executor(fabric, data, executorConfig(cfg))
 {
@@ -88,8 +88,8 @@ DoacrossService::plan(const dep::Loop &loop, sync::SchemeKind kind,
             // against.
             native::NativeConfig ncfg = executorConfig(cfg_);
             ncfg.recordAccesses = true;
-            native::NativeSyncFabric fabric(
-                entry.initWords, ncfg.spinLimit, cfg_.wakePolicy);
+            native::NativeSyncFabric fabric(entry.initWords,
+                                            ncfg.spinLimit);
             native::NativeDataMemory data(entry.programs);
             native::NativeExecutor executor(fabric, data, ncfg);
             native::NativeRunResult run =
@@ -281,9 +281,6 @@ DoacrossService::flushBatch(Gang &gang)
         for (std::size_t i = 0; i < gang.batch.size(); ++i) {
             gang.batch[i].latencyNanos =
                 nanosSince(gang.batchTimes[i], now);
-            // Guarded by completionsMutex_ so stats() can merge
-            // per-gang histograms without racing the leaders.
-            gang.latencyNs.record(gang.batch[i].latencyNanos);
             completions_.push_back(std::move(gang.batch[i]));
         }
         published_ += gang.batch.size();
@@ -395,11 +392,6 @@ DoacrossService::stats() const
     s.planCacheHits = cache_.hits();
     s.planCacheMisses = cache_.misses();
     s.planCacheHitRate = cache_.hitRate();
-    {
-        std::lock_guard<std::mutex> lk(completionsMutex_);
-        for (const auto &gang : gangs_)
-            s.latencyNs.merge(gang->latencyNs);
-    }
     return s;
 }
 

@@ -20,9 +20,8 @@
  *    amortized away), a NativeDataMemory (cleared per request: data
  *    words are request payload, only sync vars are epoch-reused),
  *    and a NativeExecutor driven through its gang-mode API;
- *  - completions are published in batches; each request's
- *    submit-to-publish latency lands in a per-gang LogHistogram, so
- *    p50/p95/p99 include the batching cost;
+ *  - completions are published in batches; each completion
+ *    carries its submit-to-publish latency, batching cost included;
  *  - every Nth request per gang (verifySampleEvery) runs with
  *    access recording on and is fully verified after execution:
  *    trace-checker replay against the plan's dependence arcs, the
@@ -48,7 +47,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/metrics.hh"
 #include "core/plan_cache.hh"
 #include "native/executor.hh"
 #include "serve/mpmc_queue.hh"
@@ -65,8 +63,6 @@ struct ServeConfig
     unsigned gangSize = 4;
     /** Execution knobs (schedule, chunk, spin, jitter, profile). */
     native::NativeConfig native;
-    /** Wait/wake policy of every arena fabric. */
-    native::WakePolicy wakePolicy = native::WakePolicy::sharded;
     /** Submission queue slots (rounded up to a power of two). */
     std::size_t queueCapacity = 1024;
     std::size_t planCacheCapacity = 64;
@@ -113,8 +109,6 @@ struct ServiceStats
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;
     double planCacheHitRate = 0.0;
-    /** Submit-to-publish latency across all gangs, nanoseconds. */
-    core::LogHistogram latencyNs;
 };
 
 /**
@@ -217,7 +211,6 @@ class DoacrossService
         std::vector<std::chrono::steady_clock::time_point>
             batchTimes;
         std::uint64_t requestsSeen = 0;
-        core::LogHistogram latencyNs;
     };
 
     void leaderLoop(Gang &gang);

@@ -117,15 +117,6 @@ Bus::utilization(Tick end_tick) const
 }
 
 void
-Bus::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, numTransactions);
-    stats::dump(os, busyCyclesStat);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, maxQueueStat);
-}
-
-void
 Bus::registerStats(stats::Group &group) const
 {
     group.add(numTransactions);

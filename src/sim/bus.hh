@@ -93,9 +93,6 @@ class Bus : public Interconnect
      */
     void sampleTimeline(Tracer &t, std::uint32_t index, Tick at) const;
 
-    /** Write the bus statistics to a stream. */
-    void dumpStats(std::ostream &os) const override;
-
     /** Register this bus's statistics with a walker group. */
     void registerStats(stats::Group &group) const override;
 

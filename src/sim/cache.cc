@@ -92,15 +92,6 @@ CacheSystem::write(ProcId who, Addr addr, AccessHandler on_done)
 }
 
 void
-CacheSystem::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, hitsStat);
-    stats::dump(os, missesStat);
-    stats::dump(os, invalidationsStat);
-    stats::dump(os, writeThroughsStat);
-}
-
-void
 CacheSystem::registerStats(stats::Group &group) const
 {
     group.add(hitsStat);

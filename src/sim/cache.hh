@@ -21,7 +21,6 @@
 #define PSYNC_SIM_CACHE_HH
 
 #include <cstdint>
-#include <ostream>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -81,8 +80,6 @@ class CacheSystem
         double total = hitsStat.value() + missesStat.value();
         return total > 0 ? hitsStat.value() / total : 0.0;
     }
-
-    void dumpStats(std::ostream &os) const;
 
     /** Register the cache statistics with a walker group. */
     void registerStats(stats::Group &group) const;

@@ -227,18 +227,6 @@ HierarchicalSyncFabric::sampleTimeline(Tracer &t, Tick at) const
 }
 
 void
-HierarchicalSyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, localBroadcastsStat);
-    stats::dump(os, globalBroadcastsStat);
-    stats::dump(os, coalescedLocalStat);
-    stats::dump(os, coalescedGlobalStat);
-    stats::dump(os, combinedIncsStat);
-    stats::dump(os, localReadsStat);
-    stats::dump(os, wakeupsStat);
-}
-
-void
 HierarchicalSyncFabric::registerStats(stats::Group &group) const
 {
     group.add(localBroadcastsStat);

@@ -131,7 +131,6 @@ class HierarchicalSyncFabric : public SyncFabric
 
     void sampleTimeline(Tracer &t, Tick at) const override;
 
-    void dumpStats(std::ostream &os) const override;
     void registerStats(stats::Group &group) const override;
 
   private:

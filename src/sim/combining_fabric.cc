@@ -267,20 +267,6 @@ CombiningSyncFabric::isParked(ProcId who) const
 }
 
 void
-CombiningSyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, readsStat);
-    stats::dump(os, writesStat);
-    stats::dump(os, rmwsStat);
-    stats::dump(os, pollsStat);
-    stats::dump(os, parkedStat);
-    stats::dump(os, wakeupsStat);
-    stats::dump(os, moduleDelayStat);
-    stats::dump(os, moduleOpsStat);
-    network.dumpStats(os);
-}
-
-void
 CombiningSyncFabric::registerStats(stats::Group &group) const
 {
     group.add(readsStat);

@@ -107,7 +107,6 @@ class CombiningSyncFabric : public SyncFabric
     void sampleTimeline(Tracer &t, Tick at) const override;
     bool isParked(ProcId who) const override;
 
-    void dumpStats(std::ostream &os) const override;
     void registerStats(stats::Group &group) const override;
 
   private:

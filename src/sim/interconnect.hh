@@ -14,7 +14,6 @@
 #define PSYNC_SIM_INTERCONNECT_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 
 #include "sim/inline_function.hh"
@@ -54,8 +53,6 @@ class Interconnect
 
     /** Fraction of capacity used over [0, end_tick]. */
     virtual double utilization(Tick end_tick) const = 0;
-
-    virtual void dumpStats(std::ostream &os) const = 0;
 
     /** Register the transport's statistics with a walker group. */
     virtual void registerStats(stats::Group &group) const = 0;

@@ -189,15 +189,9 @@ Machine::completionTick() const
 void
 Machine::dumpStats(std::ostream &os) const
 {
-    dataNet_->dumpStats(os);
-    if (syncBus_)
-        syncBus_->dumpStats(os);
-    for (const auto &cb : clusterBuses_)
-        cb->dumpStats(os);
-    memory_->dumpStats(os);
-    if (caches_->enabled())
-        caches_->dumpStats(os);
-    fabric_->dumpStats(os);
+    stats::Group group;
+    registerStats(group);
+    group.dump(os);
     for (const auto &proc : processors_)
         proc->dumpStats(os);
 }

@@ -213,6 +213,8 @@ class Machine
      */
     void sampleTimeline(Tick at);
 
+    /** Text dump of every registered statistic, then one summary
+     * line per processor. */
     void dumpStats(std::ostream &os) const;
 
     /** Register every component's statistics with a walker group. */

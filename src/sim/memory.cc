@@ -233,17 +233,6 @@ Memory::hotSpotRatio() const
 }
 
 void
-Memory::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, accessesStat);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, readsStat);
-    stats::dump(os, writesStat);
-    stats::dump(os, rmwsStat);
-    stats::dump(os, settledPollsStat);
-}
-
-void
 Memory::registerStats(stats::Group &group) const
 {
     group.add(accessesStat);

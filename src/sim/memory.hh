@@ -19,7 +19,6 @@
 #define PSYNC_SIM_MEMORY_HH
 
 #include <cstdint>
-#include <ostream>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -163,8 +162,6 @@ class Memory
      * requests, from the module's reserved-until horizon).
      */
     void sampleTimeline(Tracer &t, Tick at) const;
-
-    void dumpStats(std::ostream &os) const;
 
     /** Register the memory statistics with a walker group. */
     void registerStats(stats::Group &group) const;

@@ -213,18 +213,6 @@ CombiningOmegaNetwork::sampleTimeline(Tracer &t, Tick at) const
 }
 
 void
-CombiningOmegaNetwork::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, numTransactions);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, portBusyStat);
-    stats::dump(os, conflictsStat);
-    stats::dump(os, conflictCyclesStat);
-    stats::dump(os, combinesStat);
-    stats::dump(os, stageBusyStat);
-}
-
-void
 CombiningOmegaNetwork::registerStats(stats::Group &group) const
 {
     group.add(numTransactions);
@@ -244,14 +232,6 @@ OmegaNetwork::utilization(Tick end_tick) const
     double capacity =
         static_cast<double>(end_tick) * portFreeAt.size();
     return busyCyclesStat.value() / capacity;
-}
-
-void
-OmegaNetwork::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, numTransactions);
-    stats::dump(os, queueDelayStat);
-    stats::dump(os, busyCyclesStat);
 }
 
 void

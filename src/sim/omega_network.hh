@@ -69,7 +69,6 @@ class OmegaNetwork : public Interconnect
     /** Aggregate utilization across all injection ports. */
     double utilization(Tick end_tick) const override;
 
-    void dumpStats(std::ostream &os) const override;
     void registerStats(stats::Group &group) const override;
     const std::string &name() const override { return name_; }
 
@@ -243,7 +242,6 @@ class CombiningOmegaNetwork
     /** Emit per-stage conflict/combine samples to `t` at `at`. */
     void sampleTimeline(Tracer &t, Tick at) const;
 
-    void dumpStats(std::ostream &os) const;
     void registerStats(stats::Group &group) const;
     const std::string &name() const { return name_; }
 

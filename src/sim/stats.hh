@@ -175,7 +175,7 @@ class Distribution
     double max_ = -std::numeric_limits<double>::infinity();
 };
 
-/** Dump helpers used by Machine::dumpStats. */
+/** One-line text dump of a statistic (Group::dump's format). */
 void dump(std::ostream &os, const Scalar &s);
 void dump(std::ostream &os, const Gauge &g);
 void dump(std::ostream &os, const Vector &v);

@@ -342,16 +342,6 @@ MemorySyncFabric::poke(SyncVarId var, SyncWord value)
 }
 
 void
-MemorySyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, pollsStat);
-    stats::dump(os, writesStat);
-    stats::dump(os, rmwsStat);
-    stats::dump(os, keyedOpsStat);
-    stats::dump(os, keyedRetriesStat);
-}
-
-void
 MemorySyncFabric::registerStats(stats::Group &group) const
 {
     group.add(pollsStat);
@@ -562,15 +552,6 @@ void
 RegisterSyncFabric::poke(SyncVarId var, SyncWord value)
 {
     values[var] = value;
-}
-
-void
-RegisterSyncFabric::dumpStats(std::ostream &os) const
-{
-    stats::dump(os, broadcastsStat);
-    stats::dump(os, coalescedStat);
-    stats::dump(os, localReadsStat);
-    stats::dump(os, wakeupsStat);
 }
 
 void

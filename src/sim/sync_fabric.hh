@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <ostream>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -155,8 +154,6 @@ class SyncFabric
         return false;
     }
 
-    virtual void dumpStats(std::ostream &os) const = 0;
-
     /** Register the fabric's statistics with a walker group. */
     virtual void registerStats(stats::Group &group) const = 0;
 };
@@ -239,7 +236,6 @@ class MemorySyncFabric : public SyncFabric
     void sampleTimeline(Tracer &t, Tick at) const override;
     bool isParked(ProcId who) const override;
 
-    void dumpStats(std::ostream &os) const override;
     void registerStats(stats::Group &group) const override;
 
   private:
@@ -508,7 +504,6 @@ class RegisterSyncFabric : public SyncFabric
 
     void sampleTimeline(Tracer &t, Tick at) const override;
 
-    void dumpStats(std::ostream &os) const override;
     void registerStats(stats::Group &group) const override;
 
   private:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
 #include "bench/compare.hh"
@@ -28,6 +29,17 @@ trajectory(
     core::json::Value doc = bench::makeTrajectoryDoc();
     for (const auto &entry : entries)
         bench::mergeRecord(doc, record(entry.first, entry.second));
+    return doc;
+}
+
+/** `doc` with its header restamped to schema version `v`. */
+core::json::Value
+stamped(core::json::Value doc, int v)
+{
+    for (auto &member : doc.asObject()) {
+        if (member.first == "schema_version")
+            member.second = v;
+    }
     return doc;
 }
 
@@ -85,8 +97,8 @@ TEST(CompareTest, LoadAcceptsOlderSchemaVersions)
     // v1 trajectory files (no host-timing fields) predate the
     // current layout and must keep loading — the checked-in
     // baseline history spans both.
-    core::json::Value doc = trajectory({{"a/x", 100}});
-    doc.set("schema_version", bench::kMinTrajectorySchemaVersion);
+    core::json::Value doc = stamped(trajectory({{"a/x", 100}}),
+                                    bench::kMinTrajectorySchemaVersion);
     bench::Trajectory t = bench::loadTrajectory(doc);
     ASSERT_TRUE(t.ok) << t.error;
     ASSERT_EQ(t.cycles.size(), 1u);
@@ -97,16 +109,43 @@ TEST(CompareTest, LoadAcceptsEverySchemaVersionInHistory)
 {
     // Each schema bump so far only added record kinds/fields; a file
     // stamped with any version from v1 through the current one must
-    // load with its sim cycles intact.
+    // load with its sim cycles intact. v10 reshaped the serve
+    // records, which the loader skips, so it loads the same way.
+    EXPECT_EQ(bench::kTrajectorySchemaVersion, 10);
     for (int v = bench::kMinTrajectorySchemaVersion;
          v <= bench::kTrajectorySchemaVersion; ++v) {
-        core::json::Value doc = trajectory({{"a/x", 100}});
-        doc.set("schema_version", v);
+        core::json::Value doc = stamped(trajectory({{"a/x", 100}}), v);
         bench::Trajectory t = bench::loadTrajectory(doc);
         ASSERT_TRUE(t.ok) << "schema v" << v << ": " << t.error;
         ASSERT_EQ(t.cycles.size(), 1u) << "schema v" << v;
         EXPECT_EQ(t.cycles[0].second, 100u) << "schema v" << v;
     }
+}
+
+TEST(CompareTest, OpenTrajectoryKeepsRecordsAndRestampsOnce)
+{
+    const std::string path =
+        ::testing::TempDir() + "compare_test_open_trajectory.json";
+    ASSERT_TRUE(bench::writeJsonFile(
+        path, stamped(trajectory({{"a/x", 100}, {"b/y", 7}}), 2)));
+
+    core::json::Value doc = bench::openTrajectory(path);
+    unsigned stamps = 0;
+    for (const auto &member : doc.asObject())
+        stamps += member.first == "schema_version";
+    EXPECT_EQ(stamps, 1u);
+    EXPECT_EQ(doc.find("schema_version")->asNumber(),
+              bench::kTrajectorySchemaVersion);
+    bench::Trajectory t = bench::loadTrajectory(doc);
+    ASSERT_TRUE(t.ok) << t.error;
+    ASSERT_EQ(t.cycles.size(), 2u);
+    EXPECT_EQ(t.cycles[1].first, "b/y");
+
+    // A missing file starts an empty trajectory.
+    std::remove(path.c_str());
+    EXPECT_EQ(bench::loadTrajectory(bench::openTrajectory(path))
+                  .cycles.size(),
+              0u);
 }
 
 TEST(CompareTest, ServeRecordsAreIgnoredByCycleComparison)
@@ -116,7 +155,7 @@ TEST(CompareTest, ServeRecordsAreIgnoredByCycleComparison)
     // mixed files still compare on the sim subset alone.
     core::json::Value doc = trajectory({{"a/x", 100}});
     core::json::Value serve = core::json::object();
-    serve.set("scenario", "serve/uniform#sharded-g2x4");
+    serve.set("scenario", "serve/uniform#g2x4");
     serve.set("kind", "serve");
     serve.set("programs_per_sec", 123456.0);
     bench::mergeRecord(doc, std::move(serve));

@@ -69,6 +69,69 @@ TEST(CriticalPathTest, PureRecurrenceIsSequential)
     EXPECT_NEAR(cp.maxUsefulParallelism(), 1.0, 1e-9);
 }
 
+TEST(CriticalPathTest, PerAccessChainsOnlyTheCarryingAccesses)
+{
+    // S1: read A[i+1]; compute 3; write A[i]. No later iteration
+    // reads A[i], so the only cross-iteration arc is the anti
+    // dependence from iteration i's read of A[i+1] to iteration
+    // i+1's write of it.
+    dep::Loop loop;
+    loop.depth = 1;
+    loop.outer = {1, 50};
+    dep::Statement s;
+    s.label = "S1";
+    s.cost = 3;
+    dep::ArrayRef rd, wr;
+    rd.array = "A";
+    rd.subs = {dep::Subscript{1, 0, 1}};
+    rd.isWrite = false;
+    wr.array = "A";
+    wr.subs = {dep::Subscript{1, 0, 0}};
+    wr.isWrite = true;
+    s.refs = {wr, rd};
+    loop.body = {s};
+
+    dep::DepGraph graph(loop);
+    core::CriticalPathCosts costs = unitCosts();
+    // Statement to statement, every instance chains.
+    EXPECT_EQ(core::criticalPath(graph, costs).cycles, 50u * 13u);
+    // Access to access, the sink write (at 8..13) never waits for
+    // the source read (at 0..5): one iteration is the whole path.
+    costs.perAccess = true;
+    auto cp = core::criticalPath(graph, costs);
+    EXPECT_EQ(cp.cycles, 13u);
+    EXPECT_EQ(cp.totalWork, 50u * 13u);
+    EXPECT_EQ(core::analyticalCriticalPath(loop, costs).cycles, 13u);
+}
+
+TEST(CriticalPathTest, PerAccessKeepsFlowChains)
+{
+    // A flow arc leaves the source's last access and enters the
+    // sink's first, so both granularities chain every instance.
+    dep::Loop loop;
+    loop.depth = 1;
+    loop.outer = {1, 50};
+    dep::Statement s;
+    s.label = "S1";
+    s.cost = 3;
+    dep::ArrayRef rd, wr;
+    rd.array = "A";
+    rd.subs = {dep::Subscript{1, 0, -1}};
+    rd.isWrite = false;
+    wr.array = "A";
+    wr.subs = {dep::Subscript{1, 0, 0}};
+    wr.isWrite = true;
+    s.refs = {rd, wr};
+    loop.body = {s};
+
+    dep::DepGraph graph(loop);
+    core::CriticalPathCosts costs = unitCosts();
+    costs.perAccess = true;
+    EXPECT_EQ(core::criticalPath(graph, costs).cycles, 50u * 13u);
+    EXPECT_EQ(core::analyticalCriticalPath(loop, costs).cycles,
+              50u * 13u);
+}
+
 TEST(CriticalPathTest, DistanceStretchesParallelism)
 {
     // A[I] = A[I-4]: chains of length N/4 -> parallelism ~4.

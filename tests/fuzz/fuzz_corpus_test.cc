@@ -100,22 +100,25 @@ TEST(FuzzCorpusTest, HistoricalGeneratorCasesRunClean)
     // The original, unshrunk campaign cases the corpus files were
     // minimized from. Regenerated from (seed, index) — the
     // generator is a pure function of both — and replayed under
-    // the exact per-case configuration the campaign used. These
-    // campaigns predate strided subscripts, so the grammar's
-    // unit-coefficient mode reproduces them byte-identically.
-    struct Case { std::uint64_t seed, index; };
+    // the exact per-case configuration the campaign used. Campaigns
+    // that predate strided subscripts reproduce byte-identically
+    // under the grammar's unit-coefficient mode; later finds use
+    // the default limits.
+    struct Case { std::uint64_t seed, index; bool unitCoeff; };
     const Case cases[] = {
-        {42, 39}, {42, 46}, {42, 49}, // lin<=0 scheme deadlocks
-        {42, 66}, {42, 71},           // analytical gate vs renaming
-        {1, 60},  {1, 89},            // read-ref dedup
-        {1, 110},                     // covering through a guard
-        {1, 139},                     // write-ref dedup
-        {1, 162},                     // negative-arc covering chain
+        {42, 39, true}, {42, 46, true}, {42, 49, true}, // lin<=0 deadlocks
+        {42, 66, true}, {42, 71, true}, // analytical gate vs renaming
+        {1, 60, true},  {1, 89, true},  // read-ref dedup
+        {1, 110, true},                 // covering through a guard
+        {1, 139, true},                 // write-ref dedup
+        {1, 162, true},                 // negative-arc covering chain
+        {3, 180, false}, {2, 1200, false}, // gate vs reference keys
     };
-    bench::FuzzOptions opts;
-    opts.shrink = false;
-    opts.limits.nonUnitCoeffProb = 0.0;
     for (const Case &c : cases) {
+        bench::FuzzOptions opts;
+        opts.shrink = false;
+        if (c.unitCoeff)
+            opts.limits.nonUnitCoeffProb = 0.0;
         dep::Loop loop = workloads::makeFuzzLoop(c.seed, c.index,
                                                  opts.limits);
         auto outcome = bench::runFuzzCase(
@@ -158,9 +161,13 @@ TEST(FuzzCorpusTest, AnalyticalPathMatchesDpOnCorpus)
         mc.numProcs = 4;
         core::CriticalPathCosts costs =
             core::CriticalPathCosts::fromMachine(mc);
-        auto cp = core::analyticalCriticalPath(p.loop, costs);
-        auto dp = core::criticalPath(graph, costs);
-        EXPECT_EQ(cp.cycles, dp.cycles) << file;
+        for (bool per_access : {false, true}) {
+            costs.perAccess = per_access;
+            auto cp = core::analyticalCriticalPath(p.loop, costs);
+            auto dp = core::criticalPath(graph, costs);
+            EXPECT_EQ(cp.cycles, dp.cycles)
+                << file << (per_access ? " per access" : "");
+        }
     }
 }
 

@@ -3,7 +3,7 @@
  * DoacrossService end-to-end: persistent gangs serving cached plans
  * with epoch-reused fabrics, sampled verification, watchdog
  * recovery (a deadlocked request fails alone — the next request on
- * the same arena runs clean), and both wake policies.
+ * the same arena runs clean).
  */
 
 #include <gtest/gtest.h>
@@ -35,12 +35,11 @@ configFor(sync::SchemeKind kind)
 }
 
 serve::ServeConfig
-smallService(native::WakePolicy policy = native::WakePolicy::sharded)
+smallService()
 {
     serve::ServeConfig cfg;
     cfg.gangs = 1;
     cfg.gangSize = 2;
-    cfg.wakePolicy = policy;
     cfg.verifySampleEvery = 2;
     cfg.requestTimeoutMs = 10000;
     return cfg;
@@ -105,8 +104,6 @@ TEST(ServiceTest, ServesRepeatSubmissionsFromOneArena)
     // Every request began a fresh epoch on its arena.
     EXPECT_EQ(stats.epochsBegun,
               static_cast<std::uint64_t>(kRequests));
-    EXPECT_EQ(stats.latencyNs.count(),
-              static_cast<std::uint64_t>(kRequests));
     service.stop();
 }
 
@@ -131,25 +128,6 @@ TEST(ServiceTest, MixedPlansAndSchemesAllVerify)
     EXPECT_EQ(stats.verifySamples, stats.submitted);
     // Round 2 resubmits round 1's (loop, scheme, config) triples.
     EXPECT_GE(stats.planCacheHits, stats.planCacheMisses);
-    service.stop();
-}
-
-TEST(ServiceTest, FlatCombiningPolicyServesAndVerifies)
-{
-    serve::ServeConfig cfg =
-        smallService(native::WakePolicy::flatCombining);
-    cfg.gangSize = 4;
-    cfg.verifySampleEvery = 1;
-    serve::DoacrossService service(cfg);
-    dep::Loop loop = workloads::makeFig21Loop(16);
-    for (int i = 0; i < 6; ++i)
-        service.submit(loop, sync::SchemeKind::statementOriented,
-                       configFor(sync::SchemeKind::statementOriented));
-    service.waitIdle();
-    serve::ServiceStats stats = service.stats();
-    EXPECT_EQ(stats.completedOk, 6u);
-    EXPECT_EQ(stats.failed, 0u);
-    EXPECT_EQ(stats.verifyFailures, 0u);
     service.stop();
 }
 
