@@ -37,10 +37,37 @@ Bus::transact(ProcId who, GrantHandler on_grant, GrantHandler on_done)
     req.onGrant = std::move(on_grant);
     req.onDone = std::move(on_done);
     pending.push_back(slot);
-    maxQueueStat.updateMax(static_cast<double>(pending.size()));
+    queued();
+}
+
+void
+Bus::transactBurst(BurstSink &sink)
+{
+    Tick now = eventq.now();
+    if (!pending.empty()) {
+        Request &tail = requests[pending.back()];
+        if (tail.burst == &sink && tail.issued == now) {
+            ++tail.count;
+            queued();
+            return;
+        }
+    }
+    std::uint32_t slot = requests.alloc();
+    Request &req = requests[slot];
+    req.issued = now;
+    req.burst = &sink;
+    pending.push_back(slot);
+    queued();
+}
+
+void
+Bus::queued()
+{
+    ++waiting;
+    maxQueueStat.updateMax(static_cast<double>(waiting));
     PSYNC_TRACE(tracer,
                 counterSample(name_ + ".queue_depth", eventq.now(),
-                              static_cast<double>(pending.size())));
+                              static_cast<double>(waiting)));
     if (!granting)
         grantNext();
 }
@@ -55,8 +82,13 @@ Bus::grantNext()
     granting = true;
 
     std::uint32_t slot = pending.front();
-    pending.pop_front();
     Request &req = requests[slot];
+    BurstSink *burst = req.burst;
+    Tick issued = req.issued;
+    ProcId who = burst ? burst->burstHead() : req.who;
+    if (!burst || --req.count == 0)
+        pending.pop_front();
+    --waiting;
 
     Tick grant = std::max(eventq.now(), freeAt);
     Tick done = grant + cyclesPerTxn;
@@ -64,16 +96,24 @@ Bus::grantNext()
 
     ++numTransactions;
     busyCyclesStat += static_cast<double>(cyclesPerTxn);
-    queueDelayStat += static_cast<double>(grant - req.issued);
+    queueDelayStat += static_cast<double>(grant - issued);
 
     PSYNC_DPRINTF(eventq, Bus,
                   "%s grant proc %u (queued %llu cycles)",
-                  name_.c_str(), req.who,
-                  static_cast<unsigned long long>(grant - req.issued));
-    PSYNC_TRACE(tracer, resourceBusy(name_, 0, req.who, grant, done));
+                  name_.c_str(), who,
+                  static_cast<unsigned long long>(grant - issued));
+    PSYNC_TRACE(tracer, resourceBusy(name_, 0, who, grant, done));
     PSYNC_TRACE(tracer,
                 counterSample(name_ + ".queue_depth", eventq.now(),
-                              static_cast<double>(pending.size())));
+                              static_cast<double>(waiting)));
+
+    if (burst) {
+        if (req.count == 0)
+            requests.free(slot);
+        stepSink = burst;
+        eventq.arm(*this, done);
+        return;
+    }
 
     // grant == now() here: arbitration happens either immediately
     // on request or right as the previous transaction completes.
@@ -92,6 +132,15 @@ Bus::grantNext()
 }
 
 void
+Bus::step()
+{
+    BurstSink *sink = stepSink;
+    stepSink = nullptr;
+    sink->burstDelivered();
+    grantNext();
+}
+
+void
 Bus::sampleTimeline(Tracer &t, std::uint32_t index, Tick at) const
 {
     // busyCyclesStat books a transaction's full occupancy at grant
@@ -105,7 +154,7 @@ Bus::sampleTimeline(Tracer &t, std::uint32_t index, Tick at) const
         busy = 0;
     t.sample(SampleStream::busBusyCycles, index, at, busy);
     t.sample(SampleStream::busQueueDepth, index, at,
-             static_cast<double>(pending.size() + (granting ? 1 : 0)));
+             static_cast<double>(waiting + (granting ? 1 : 0)));
 }
 
 double

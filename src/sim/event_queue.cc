@@ -51,6 +51,30 @@ EventQueue::schedule(Tick when, Handler handler)
 }
 
 void
+EventQueue::arm(Stepper &stepper, Tick when)
+{
+    if (stepper_)
+        panic("arming a step while another is armed");
+    if (when < curTick_)
+        panic("arming a step in the past: %llu < %llu",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(curTick_));
+    stepper_ = &stepper;
+    stepWhen_ = when;
+    stepSeq_ = nextSeq_++;
+}
+
+void
+EventQueue::runStep()
+{
+    Stepper *stepper = stepper_;
+    stepper_ = nullptr;
+    curTick_ = stepWhen_;
+    stepWhen_ = maxTick;
+    stepper->step();
+}
+
+void
 EventQueue::pushRing(SlotKey key)
 {
     std::uint64_t idx = key.rank & ringMask;
@@ -94,9 +118,13 @@ EventQueue::drainBucket(Tick tick)
     auto &bucket = ring_[idx];
     // Handlers may append same-tick events to this bucket while it
     // drains; indexed iteration with a size recheck picks them up,
-    // and they arrive in seq order by construction.
-    for (std::size_t i = 0; i < bucket.size(); ++i)
+    // and they arrive in seq order by construction. A step armed for
+    // this tick runs between the events its seq falls between.
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+        while (stepBefore(bucket[i]))
+            runStep();
         fire(bucket[i]);
+    }
     ringCount_ -= bucket.size();
     bucket.clear();
     occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
@@ -142,6 +170,20 @@ EventQueue::runCalendar(Tick limit)
         Tick ring_next = nextRingTick();
         Tick far_next = far_.empty() ? maxTick : far_.top().rank;
         Tick next = std::min(ring_next, far_next);
+        if (stepWhen_ < next) {
+            // Steps due before every pending event run back to back
+            // until one schedules an event, which may come first.
+            std::size_t pending = ringCount_ + far_.size();
+            do {
+                if (stepWhen_ > limit) {
+                    curTick_ = limit;
+                    return false;
+                }
+                runStep();
+            } while (stepWhen_ < next &&
+                     ringCount_ + far_.size() == pending);
+            continue;
+        }
         if (next == maxTick)
             return true;
         if (next > limit) {
@@ -158,14 +200,20 @@ EventQueue::runCalendar(Tick limit)
 bool
 EventQueue::runHeap(Tick limit)
 {
-    while (!far_.empty()) {
-        if (far_.top().rank > limit) {
+    for (;;) {
+        bool step = stepper_ && (far_.empty() || stepBefore(far_.top()));
+        if (!step && far_.empty())
+            return true;
+        Tick next = step ? stepWhen_ : far_.top().rank;
+        if (next > limit) {
             curTick_ = limit;
             return false;
         }
-        fire(far_.pop());
+        if (step)
+            runStep();
+        else
+            fire(far_.pop());
     }
-    return true;
 }
 
 bool
@@ -184,6 +232,8 @@ EventQueue::clear()
     ringCount_ = 0;
     far_.clear();
     handlers_.clear();
+    stepper_ = nullptr;
+    stepWhen_ = maxTick;
 }
 
 } // namespace sim

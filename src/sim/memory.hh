@@ -19,10 +19,12 @@
 #define PSYNC_SIM_MEMORY_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "sim/bus.hh"
 #include "sim/event_queue.hh"
 #include "sim/interconnect.hh"
 #include "sim/stats.hh"
@@ -45,7 +47,7 @@ struct MemoryConfig
 };
 
 /** The interleaved shared memory behind the data bus. */
-class Memory
+class Memory : private BurstSink
 {
   public:
     /** Completion callback for plain accesses. */
@@ -56,6 +58,21 @@ class Memory
     using Modify = InlineFunction<SyncWord(SyncWord old_value)>;
     /** Spin-poll callback: the value read and its completion tick. */
     using PollHandler = InlineFunction<void(SyncWord value, Tick done)>;
+
+    /** Receiver of the polls issued with burstPoll(). */
+    class PollSink
+    {
+      public:
+        /**
+         * Poll `tag` read `value`, and its read completes at `done`:
+         * now, or later when the poll settled at its module.
+         */
+        virtual void pollDone(std::uint32_t tag, SyncWord value,
+                              Tick done) = 0;
+
+      protected:
+        ~PollSink() = default;
+    };
 
     /**
      * Store-horizon table size: direct-mapped by word index, so two
@@ -98,6 +115,21 @@ class Memory
      */
     void poll(ProcId who, Addr addr, SyncWord threshold,
               PollHandler on_done);
+
+    /**
+     * One poll of a re-fetch burst: same-tick polls issued back to
+     * back, as poll() would issue them, reporting to `sink` under
+     * `tag`. Over a data bus the burst takes no request slot and no
+     * event per poll: the bus grants it in closed form, and each
+     * poll arrives at its module from the bus's step, where it
+     * settles exactly as poll()'s would. A poll that cannot settle
+     * (its threshold is met, or a store queued ahead of it at the
+     * module completes after it arrives) becomes a real request with
+     * its own completion event. Over any other interconnect this is
+     * poll().
+     */
+    void burstPoll(ProcId who, Addr addr, SyncWord threshold,
+                   PollSink &sink, std::uint32_t tag);
 
     /** Write a word; handler runs at completion. */
     void write(ProcId who, Addr addr, SyncWord value,
@@ -200,6 +232,18 @@ class Memory
         PollHandler onPoll;
     };
 
+    /** A burstPoll() waiting for its bus grant or arrival. */
+    struct BurstPoll
+    {
+        ProcId who;
+        unsigned module;
+        unsigned horizon;
+        Addr addr;
+        SyncWord threshold;
+        PollSink *sink;
+        std::uint32_t tag;
+    };
+
     /**
      * Take a request slot for `kind` on `addr`, resolving its module
      * and store-horizon slot once.
@@ -212,9 +256,30 @@ class Memory
     void arrived(std::uint32_t slot);
     /** Module service finished; run the user's handler. */
     void complete(std::uint32_t slot);
+    /**
+     * A request of `who` needing `service_cycles` arrived at `module`
+     * now: queue it there. @return its completion tick.
+     */
+    Tick occupy(unsigned module, ProcId who, Tick service_cycles);
+    /**
+     * True if a poll arriving now, reading `value` against
+     * `threshold`, settles: every store queued ahead of it at the
+     * module (its word's store horizon) has completed, so the word
+     * holds now what the read returns at completion, and that fails.
+     */
+    bool
+    settles(unsigned horizon, SyncWord value, SyncWord threshold) const
+    {
+        return storeHorizon[horizon] < eventq.now() && value < threshold;
+    }
+
+    ProcId burstHead() const override { return burstPolls.front().who; }
+    void burstDelivered() override;
 
     EventQueue &eventq;
     Interconnect &dataNet;
+    /** dataNet when it is a bus (bursts reserve it), else null. */
+    Bus *dataBus;
     MemoryConfig config;
     Tracer *tracer;
 
@@ -228,6 +293,8 @@ class Memory
     std::vector<Tick> storeHorizon;
     std::unordered_map<Addr, SyncWord> words;
     Slab<Request> requests;
+    /** Burst polls on the data bus, oldest (next to arrive) first. */
+    std::deque<BurstPoll> burstPolls;
 
     stats::Vector accessesStat;
     stats::Scalar queueDelayStat;

@@ -109,12 +109,19 @@ MemorySyncFabric::allocate(unsigned count, SyncWord init_value)
     return first;
 }
 
-void
-MemorySyncFabric::pollLoop(std::uint32_t slot)
+const MemorySyncFabric::OpState &
+MemorySyncFabric::notePoll(std::uint32_t slot)
 {
     ++pollsStat;
     const OpState &op = ops[slot];
     PSYNC_TRACE(tracer, syncVarOp(op.var, "poll", op.who, eventq.now()));
+    return op;
+}
+
+void
+MemorySyncFabric::pollLoop(std::uint32_t slot)
+{
+    const OpState &op = notePoll(slot);
     if (!cachedSpin) {
         memory.read(op.who, addrOf(op.var), [this, slot](SyncWord value) {
             pollValue(slot, value, eventq.now());
@@ -186,7 +193,9 @@ MemorySyncFabric::refetch(std::size_t burst)
     for (; burst > 0; --burst) {
         std::uint32_t slot = refetchSlots.front();
         refetchSlots.pop_front();
-        pollLoop(slot);
+        const OpState &op = notePoll(slot);
+        memory.burstPoll(op.who, addrOf(op.var), op.threshold, *this,
+                         slot);
     }
 }
 

@@ -166,7 +166,7 @@ class SyncFabric
  * organization the paper attributes to data-oriented schemes (keys
  * stored with their data) and to software-only implementations.
  */
-class MemorySyncFabric : public SyncFabric
+class MemorySyncFabric : public SyncFabric, private Memory::PollSink
 {
   public:
     /**
@@ -258,8 +258,16 @@ class MemorySyncFabric : public SyncFabric
     };
 
     Addr addrOf(SyncVarId var) const;
+    /** Count and trace one poll of the wait in `slot`. */
+    const OpState &notePoll(std::uint32_t slot);
     /** Issue the next memory poll of the wait parked in `slot`. */
     void pollLoop(std::uint32_t slot);
+    /** A burst poll of the wait in `slot` finished. */
+    void
+    pollDone(std::uint32_t slot, SyncWord value, Tick done) override
+    {
+        pollValue(slot, value, done);
+    }
     /**
      * A poll completing at tick `done` read `value`; satisfy, park
      * or re-poll.
@@ -267,7 +275,10 @@ class MemorySyncFabric : public SyncFabric
     void pollValue(std::uint32_t slot, SyncWord value, Tick done);
     /** Queue one re-fetch burst for the parked spinners of `var`. */
     void invalidate(SyncVarId var);
-    /** Issue the polls of the oldest queued re-fetch burst. */
+    /**
+     * Issue the polls of the oldest queued re-fetch burst as one
+     * Memory::burstPoll burst.
+     */
     void refetch(std::size_t burst);
     /** Module-side key test + access + increment. */
     void keyedService(std::uint32_t slot);
