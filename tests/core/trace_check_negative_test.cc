@@ -9,12 +9,17 @@
  * awaited read can start while the write is still pending. The
  * simulator makes the race deterministic (the producer's delay is
  * simulated time, so the read always lands inside the window); the
- * native run makes it probable and is retried across seeds until
- * observed. If the TraceChecker ever stops catching this, these
- * tests fail — the checker, not luck, is the correctness gate.
+ * native test forces the same order with a latch between its two
+ * lanes. If the TraceChecker ever stops catching this, these tests
+ * fail — the checker, not luck, is the correctness gate.
  */
 
 #include <gtest/gtest.h>
+
+#include <chrono>
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "core/runtime.hh"
 #include "core/trace_check.hh"
@@ -113,35 +118,54 @@ TEST(TraceCheckNegativeTest, SimBackendReportsViolation)
 
 TEST(TraceCheckNegativeTest, NativeBackendReportsViolation)
 {
-    // The native window is real time, so one rep may get lucky;
-    // retry across seeds. The compute op is a forced yield point
-    // between signal and write, which makes the interleaving in
-    // which the consumer's read overtakes the producer's write
-    // overwhelmingly likely per rep.
-    bool caught = false;
-    for (std::uint64_t seed = 1; seed <= 50 && !caught; ++seed) {
-        native::NativeSyncFabric fabric;
-        sim::SyncVarId v = fabric.allocate(1, 0);
-        auto programs = brokenPrograms(v, 500);
-        native::NativeDataMemory data(programs);
-        native::NativeConfig cfg;
-        cfg.numThreads = 2;
-        cfg.schedule = core::SchedulePolicy::staticCyclic;
-        cfg.timingSeed = seed;
-        native::NativeExecutor exec(fabric, data, cfg);
-        auto result = exec.runPool(programs);
-        ASSERT_TRUE(result.completed) << "seed " << seed;
+    // Real time has no simulated delay to hold the window open, so
+    // the test drives the two lanes itself. The producer's lane runs
+    // its (misplaced) signal, waits on a latch until the consumer's
+    // lane has done its awaited read, and only then performs the
+    // write the signal should have ordered.
+    native::NativeSyncFabric fabric;
+    sim::SyncVarId v = fabric.allocate(1, 0);
+    auto programs = brokenPrograms(v, 500);
+    native::NativeDataMemory data(programs);
 
-        core::TraceChecker checker;
-        exec.replayAccesses(checker);
-        auto violations = checker.verify(brokenLoop(), {flowDep()});
-        if (!violations.empty()) {
-            EXPECT_NE(violations[0].find("violated"),
-                      std::string::npos);
-            caught = true;
-        }
-    }
-    EXPECT_TRUE(caught)
-        << "under-synchronized stub never tripped the native "
-           "checker in 50 seeded repetitions";
+    // The producer split at its compute op: signal, then the write.
+    std::vector<sim::Program> signal{programs[0]};
+    signal[0].ops.resize(1);
+    std::vector<sim::Program> write{programs[0]};
+    write[0].ops.erase(write[0].ops.begin(), write[0].ops.begin() + 2);
+    ASSERT_EQ(write[0].ops.front().kind, sim::OpKind::stmtStart);
+
+    native::NativeConfig cfg;
+    cfg.numThreads = 2;
+    cfg.schedule = core::SchedulePolicy::staticCyclic;
+    native::NativeExecutor exec(fabric, data, cfg);
+    // Static cyclic: lane 0 runs index 0 of the pool it is handed,
+    // lane 1 index 1, so the consumer lane gets the full pool.
+    const native::Deadline deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    exec.beginRun(2, /*record_accesses=*/true);
+    std::latch consumer_read(1);
+    bool producer_ok = false;
+    bool consumer_ok = false;
+    std::thread producer([&] {
+        producer_ok = exec.runLane(signal, 0, deadline);
+        consumer_read.wait();
+        producer_ok = producer_ok && exec.runLane(write, 0, deadline);
+    });
+    std::thread consumer([&] {
+        consumer_ok = exec.runLane(programs, 1, deadline);
+        consumer_read.count_down();
+    });
+    producer.join();
+    consumer.join();
+    ASSERT_TRUE(producer_ok);
+    ASSERT_TRUE(consumer_ok);
+    ASSERT_TRUE(exec.finishRun(0).completed);
+
+    core::TraceChecker checker;
+    exec.replayAccesses(checker);
+    auto violations = checker.verify(brokenLoop(), {flowDep()});
+    ASSERT_FALSE(violations.empty())
+        << "under-synchronized stub passed the native checker";
+    EXPECT_NE(violations[0].find("violated"), std::string::npos);
 }
