@@ -84,10 +84,15 @@ namespace bench {
  * "latency_p99_ns", the campaign summary loses "winners", and the
  * record ids drop the policy ("serve/<mix>#g<G>x<S>") — sim,
  * native and fuzz records differ from v9 only in the version
- * stamp. Loaders accept all versions and ignore non-"sim" records
- * when comparing cycles.
+ * stamp; v11 makes each kind:"serve" cell a median over warm
+ * trials: "programs_per_sec" is the median of "trials" measured
+ * trials (after a discarded warm-up), "programs_per_sec_q1"/
+ * "programs_per_sec_q3" give its quartiles, "host_cpus" the host's
+ * CPU count, and "host_ns" sums the trials — sim, native and fuzz
+ * records differ from v10 only in the version stamp. Loaders accept
+ * all versions and ignore non-"sim" records when comparing cycles.
  */
-constexpr int kTrajectorySchemaVersion = 10;
+constexpr int kTrajectorySchemaVersion = 11;
 
 /** Oldest trajectory schema loadTrajectory still accepts. */
 constexpr int kMinTrajectorySchemaVersion = 1;

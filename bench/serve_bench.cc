@@ -1,8 +1,10 @@
 #include "bench/serve_bench.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <thread>
 
 #include "bench/registry.hh"
 #include "core/value_rule.hh"
@@ -115,10 +117,45 @@ runServeCell(const std::string &mix,
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 -
                                                              t0)
             .count());
+    if (cell.hostNanos > 0) {
+        cell.trialRates.push_back(static_cast<double>(cell.programsRun) *
+                                  1e9 /
+                                  static_cast<double>(cell.hostNanos));
+    }
+    cell.hostCpus = std::thread::hardware_concurrency();
     return cell;
 }
 
 } // namespace
+
+double
+ServeCellResult::rateQuantile(double q) const
+{
+    if (trialRates.empty())
+        return 0.0;
+    std::vector<double> sorted = trialRates;
+    std::sort(sorted.begin(), sorted.end());
+    double pos = q * static_cast<double>(sorted.size() - 1);
+    auto lo = static_cast<std::size_t>(pos);
+    std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+    return sorted[lo] + (pos - static_cast<double>(lo)) *
+                            (sorted[hi] - sorted[lo]);
+}
+
+void
+ServeCellResult::addTrial(const ServeCellResult &trial)
+{
+    if (mix.empty()) {
+        *this = trial;
+        return;
+    }
+    failed += trial.failed;
+    verifySamples += trial.verifySamples;
+    verifyFailures += trial.verifyFailures;
+    hostNanos += trial.hostNanos;
+    trialRates.insert(trialRates.end(), trial.trialRates.begin(),
+                      trial.trialRates.end());
+}
 
 std::string
 ServeCellResult::recordId() const
@@ -139,7 +176,11 @@ ServeCellResult::toJson() const
     rec.set("requests", requests);
     rec.set("failed", failed);
     rec.set("programs_run", programsRun);
+    rec.set("trials", static_cast<std::uint64_t>(trialRates.size()));
     rec.set("programs_per_sec", programsPerSec());
+    rec.set("programs_per_sec_q1", rateQuantile(0.25));
+    rec.set("programs_per_sec_q3", rateQuantile(0.75));
+    rec.set("host_cpus", hostCpus);
     rec.set("plan_cache_hits", planCacheHits);
     rec.set("plan_cache_misses", planCacheMisses);
     rec.set("plan_cache_hit_rate", planCacheHitRate);
@@ -188,15 +229,24 @@ runServeCampaign(const ServeCampaignOptions &opts)
     for (const auto &src : sources)
         result.sources.push_back(src.scenarioId);
 
-    for (const auto &mix : mixes) {
-        result.cells.push_back(runServeCell(mix, sources, opts));
-        const ServeCellResult &cell = result.cells.back();
-        std::printf("serve %-8s %8llu req %10llu prog %12.0f prog/s  "
-                    "cache %5.1f%%%s\n",
-                    mix.c_str(),
+    if (opts.warmup) {
+        for (const auto &mix : mixes)
+            runServeCell(mix, sources, opts);
+    }
+    result.cells.resize(mixes.size());
+    for (unsigned t = 0; t < std::max(1u, opts.trials); ++t) {
+        for (std::size_t m = 0; m < mixes.size(); ++m)
+            result.cells[m].addTrial(
+                runServeCell(mixes[m], sources, opts));
+    }
+    for (const auto &cell : result.cells) {
+        std::printf("serve %-8s %8llu req %10llu prog %12.0f prog/s "
+                    "[%.0f, %.0f] x%zu  cache %5.1f%%%s\n",
+                    cell.mix.c_str(),
                     static_cast<unsigned long long>(cell.requests),
                     static_cast<unsigned long long>(cell.programsRun),
-                    cell.programsPerSec(),
+                    cell.programsPerSec(), cell.rateQuantile(0.25),
+                    cell.rateQuantile(0.75), cell.trialRates.size(),
                     cell.planCacheHitRate * 100.0,
                     cell.failed || cell.verifyFailures ? "  FAILED"
                                                        : "");

@@ -4,15 +4,21 @@
  * serve::DoacrossService, recorded as kind:"serve" trajectory
  * records.
  *
- * A campaign is one cell per traffic mix. Each cell boots a fresh
- * service (persistent gangs, plan cache, epoch-reused fabrics),
- * submits `requests` executions drawn from the bench registry's
- * scenarios as fast as the queue takes them, waits for the service
- * to drain, and snapshots throughput (programs_per_sec) and
- * plan-cache hit rate. Requests wait in the queue for most of a
- * cell, so the cell measures throughput only; perfbench's
- * serve-open-loop workload measures latency from scheduled
- * arrivals.
+ * A campaign is one cell per traffic mix. Each trial of a cell
+ * boots a fresh service (persistent gangs, plan cache, epoch-reused
+ * fabrics), submits `requests` executions drawn from the bench
+ * registry's scenarios as fast as the queue takes them, waits for
+ * the service to drain, and snapshots throughput and plan-cache hit
+ * rate. Requests wait in the queue for most of a trial, so a cell
+ * measures throughput only; perfbench's serve-open-loop workload
+ * measures latency from scheduled arrivals.
+ *
+ * A process's first trial runs cold (its first thread spawns, page
+ * faults and plan builds), so a campaign first runs one discarded
+ * warm-up trial per mix, then `trials` trials per mix, interleaved
+ * across mixes so a drift of the host's speed reaches every mix
+ * alike. A cell reports the median programs/s with its quartiles
+ * and the host's CPU count.
  *
  * Traffic mixes:
  *  - uniform: requests draw uniformly over the matched scenarios'
@@ -62,6 +68,10 @@ struct ServeCampaignOptions
     std::uint64_t burstSize = 128;
     /** Mixes to run; empty = all three. */
     std::vector<std::string> mixes;
+    /** Measured trials per mix. */
+    unsigned trials = 5;
+    /** Run and discard one warm-up trial per mix first. */
+    bool warmup = true;
 };
 
 /** Result of one campaign cell (one mix). */
@@ -79,17 +89,31 @@ struct ServeCellResult
     std::uint64_t planCacheHits = 0;
     std::uint64_t planCacheMisses = 0;
     double planCacheHitRate = 0.0;
-    /** Whole-cell host wall time, submission through drain. */
+    /**
+     * Host wall time, submission through drain, summed over the
+     * trials.
+     */
     std::uint64_t hostNanos = 0;
+    /** Programs/s of each measured trial, in run order. */
+    std::vector<double> trialRates;
+    /** CPUs the host offers (std::thread::hardware_concurrency). */
+    unsigned hostCpus = 0;
 
-    double
-    programsPerSec() const
-    {
-        if (hostNanos == 0)
-            return 0.0;
-        return static_cast<double>(programsRun) * 1e9 /
-               static_cast<double>(hostNanos);
-    }
+    /** Median programs/s over the trials. */
+    double programsPerSec() const { return rateQuantile(0.5); }
+
+    /**
+     * Quantile `q` of the trial rates, interpolated between order
+     * statistics (0 with no trials).
+     */
+    double rateQuantile(double q) const;
+
+    /**
+     * Fold one more trial of this cell in: failure and
+     * verification counts and host time add up, and its rate joins
+     * trialRates.
+     */
+    void addTrial(const ServeCellResult &trial);
 
     /** Record id: "serve/<mix>#g<gangs>x<gangSize>". */
     std::string recordId() const;

@@ -7,6 +7,7 @@
 
 #include "bench/compare.hh"
 #include "bench/registry.hh"
+#include "bench/serve_bench.hh"
 
 using namespace psync;
 
@@ -109,9 +110,10 @@ TEST(CompareTest, LoadAcceptsEverySchemaVersionInHistory)
 {
     // Each schema bump so far only added record kinds/fields; a file
     // stamped with any version from v1 through the current one must
-    // load with its sim cycles intact. v10 reshaped the serve
-    // records, which the loader skips, so it loads the same way.
-    EXPECT_EQ(bench::kTrajectorySchemaVersion, 10);
+    // load with its sim cycles intact. v10 and v11 reshaped the
+    // serve records, which the loader skips, so they load the same
+    // way.
+    EXPECT_EQ(bench::kTrajectorySchemaVersion, 11);
     for (int v = bench::kMinTrajectorySchemaVersion;
          v <= bench::kTrajectorySchemaVersion; ++v) {
         core::json::Value doc = stamped(trajectory({{"a/x", 100}}), v);
@@ -169,6 +171,41 @@ TEST(CompareTest, ServeRecordsAreIgnoredByCycleComparison)
     bench::CompareOptions exact;
     exact.requireIdentical = true;
     EXPECT_TRUE(bench::compareTrajectories(doc, doc, exact).ok());
+}
+
+TEST(CompareTest, ServeCellReportsTheMedianOfItsTrials)
+{
+    // Five trials of one cell, the first a slow outlier: the record
+    // keeps the median and the quartiles, adds up failures and host
+    // time, and says how many trials and host CPUs it saw.
+    bench::ServeCellResult cell;
+    const double rates[] = {166e3, 460e3, 500e3, 480e3, 440e3};
+    for (double rate : rates) {
+        bench::ServeCellResult trial;
+        trial.mix = "uniform";
+        trial.requests = 800;
+        trial.programsRun = 204800;
+        trial.failed = rate < 200e3 ? 1 : 0;
+        trial.hostNanos = 1000;
+        trial.hostCpus = 4;
+        trial.trialRates = {rate};
+        cell.addTrial(trial);
+    }
+    EXPECT_DOUBLE_EQ(cell.programsPerSec(), 460e3);
+    EXPECT_DOUBLE_EQ(cell.rateQuantile(0.25), 440e3);
+    EXPECT_DOUBLE_EQ(cell.rateQuantile(0.75), 480e3);
+    EXPECT_EQ(cell.failed, 1u);
+    EXPECT_EQ(cell.hostNanos, 5000u);
+    EXPECT_EQ(cell.requests, 800u);
+
+    core::json::Value rec = cell.toJson();
+    EXPECT_EQ(rec.find("trials")->asNumber(), 5);
+    EXPECT_EQ(rec.find("host_cpus")->asNumber(), 4);
+    EXPECT_DOUBLE_EQ(rec.find("programs_per_sec")->asNumber(), 460e3);
+    EXPECT_DOUBLE_EQ(rec.find("programs_per_sec_q1")->asNumber(),
+                     440e3);
+    EXPECT_DOUBLE_EQ(rec.find("programs_per_sec_q3")->asNumber(),
+                     480e3);
 }
 
 TEST(CompareTest, ExactModeFlagsAnyCycleDifference)
