@@ -8,13 +8,6 @@
 namespace psync {
 namespace core {
 
-namespace {
-
-/** Resource name the memory model reports its modules under. */
-const char *const kModuleResource = "memory.module";
-
-} // namespace
-
 std::string
 BlameReport::VarBlame::name() const
 {
@@ -52,9 +45,7 @@ buildBlameReport(const TraceRecorder &recorder, const RunResult &run,
         report.attributedSpinCycles += edge.cycles();
     }
     for (auto &entry : by_var) {
-        auto it = recorder.syncVars().find(entry.first);
-        if (it != recorder.syncVars().end())
-            entry.second.label = it->second.label;
+        entry.second.label = recorder.syncVarLabel(entry.first);
         report.vars.push_back(std::move(entry.second));
     }
     std::stable_sort(report.vars.begin(), report.vars.end(),
@@ -75,9 +66,7 @@ buildBlameReport(const TraceRecorder &recorder, const RunResult &run,
         site.maxWait = std::max(site.maxWait, edge.cycles());
     }
     for (auto &entry : by_site) {
-        auto it = recorder.syncVars().find(entry.first.first);
-        if (it != recorder.syncVars().end())
-            entry.second.label = it->second.label;
+        entry.second.label = recorder.syncVarLabel(entry.first.first);
         report.sites.push_back(std::move(entry.second));
     }
     std::stable_sort(report.sites.begin(), report.sites.end(),
@@ -87,7 +76,7 @@ buildBlameReport(const TraceRecorder &recorder, const RunResult &run,
 
     std::map<unsigned, BlameReport::ModuleHeat> by_module;
     for (const auto &event : recorder.resources()) {
-        if (event.resource != kModuleResource)
+        if (event.resource != sim::memoryModuleResource)
             continue;
         BlameReport::ModuleHeat &heat = by_module[event.index];
         heat.module = event.index;

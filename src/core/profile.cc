@@ -15,9 +15,6 @@ using SyncEvent = TraceRecorder::SyncOpEvent;
 using Segment = CriticalPathProfile::Segment;
 using SegmentKind = CriticalPathProfile::SegmentKind;
 
-/** Must match what sim::Memory reports busy intervals under. */
-constexpr const char *kModuleResource = "memory.module";
-
 const char *
 segmentKindName(SegmentKind kind)
 {
@@ -73,10 +70,20 @@ isSyncWriterKind(ir::OpKind kind)
 
 /** Sync-var event names that commit a new value (vs. observe one). */
 bool
-isCommitOp(const std::string &op)
+isCommitOp(sim::SyncOp op)
 {
-    return op == "write" || op == "broadcast" || op == "rmw" ||
-           op == "keyed" || op == "coalesced";
+    switch (op) {
+      case sim::SyncOp::write:
+      case sim::SyncOp::broadcast:
+      case sim::SyncOp::rmw:
+      case sim::SyncOp::keyed:
+      case sim::SyncOp::coalesced:
+        return true;
+      case sim::SyncOp::poll:
+      case sim::SyncOp::wait:
+        return false;
+    }
+    return false;
 }
 
 } // namespace
@@ -343,7 +350,7 @@ buildCriticalPathProfile(const TraceRecorder &rec,
     std::vector<std::vector<const TraceRecorder::ResourceEvent *>>
         proc_modules(np);
     for (const auto &r : rec.resources()) {
-        if (r.resource == kModuleResource && r.who < np)
+        if (r.resource == sim::memoryModuleResource && r.who < np)
             proc_modules[r.who].push_back(&r);
     }
     for (auto &v : proc_modules) {
@@ -414,13 +421,10 @@ buildCriticalPathProfile(const TraceRecorder &rec,
         }
     }
 
-    const auto &var_stats = rec.syncVars();
     for (const auto &entry : var_cycles) {
         CriticalPathProfile::VarShare share;
         share.var = entry.first;
-        auto it = var_stats.find(entry.first);
-        if (it != var_stats.end())
-            share.label = it->second.label;
+        share.label = rec.syncVarLabel(entry.first);
         share.cycles = entry.second;
         prof.varShares.push_back(std::move(share));
     }

@@ -372,19 +372,14 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
     }
 
     // Sync-variable waiter counts (sparse stream).
-    const auto &varStats = recorder.syncVars();
-    auto labelOf = [&](sim::SyncVarId var) -> std::string {
-        auto it = varStats.find(var);
-        return it == varStats.end() ? std::string()
-                                    : it->second.label;
-    };
     for (std::uint32_t var :
          indicesOf(sim::SampleStream::syncVarWaiters)) {
+        std::string name =
+            varName(var, recorder.syncVarLabel(var)) + " waiters";
         tl.varWaiters.emplace_back(
             var, instantSeries(
-                     rawOf(sim::SampleStream::syncVarWaiters, var),
-                     n,
-                     varName(var, labelOf(var)) + " waiters"));
+                     rawOf(sim::SampleStream::syncVarWaiters, var), n,
+                     std::move(name)));
     }
 
     // Per-variable traffic, bucketed from the sync-op event log.
@@ -393,12 +388,13 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
         for (const auto &ev : recorder.syncOpEvents()) {
             auto it = traffic.find(ev.var);
             if (it == traffic.end()) {
+                std::string name =
+                    varName(ev.var, recorder.syncVarLabel(ev.var)) +
+                    " traffic";
                 it = traffic
                          .emplace(ev.var,
                                   TimelineSeries{
-                                      varName(ev.var,
-                                              labelOf(ev.var)) +
-                                          " traffic",
+                                      std::move(name),
                                       std::vector<double>(n, 0.0)})
                          .first;
             }
@@ -465,7 +461,7 @@ buildTimeline(const TraceRecorder &recorder, const TimelineConfig &cfg)
                    tl.hotspots);
     std::vector<HotCandidate> vars;
     for (const auto &entry : tl.varTraffic)
-        vars.push_back({entry.first, labelOf(entry.first),
+        vars.push_back({entry.first, recorder.syncVarLabel(entry.first),
                         &entry.second});
     detectHotSpots("sync_var", vars, tl.boundaries, cfg,
                    tl.hotspots);

@@ -21,27 +21,10 @@ TraceRecorder::resourceBusy(const std::string &resource,
 }
 
 void
-TraceRecorder::counterSample(const std::string &counter, sim::Tick at,
-                             double value)
-{
-    counters_.push_back({counter, at, value});
-}
-
-void
-TraceRecorder::instant(const std::string &name, sim::ProcId who,
-                       sim::Tick at)
-{
-    instants_.push_back({name, who, at});
-}
-
-void
-TraceRecorder::syncVarOp(sim::SyncVarId var, const char *op,
+TraceRecorder::syncVarOp(sim::SyncVarId var, sim::SyncOp op,
                          sim::ProcId who, sim::Tick at)
 {
     syncOpEvents_.push_back({var, who, at, op});
-    SyncVarStats &stats = syncVars_[var];
-    ++stats.opCounts[op];
-    ++stats.total;
 }
 
 void
@@ -49,7 +32,6 @@ TraceRecorder::waitEdge(sim::SyncVarId var, sim::ProcId who,
                         sim::Tick start, sim::Tick end)
 {
     waitEdges_.push_back({var, who, start, end});
-    syncVars_[var].waitCycles += end - start;
 }
 
 void
@@ -88,7 +70,15 @@ void
 TraceRecorder::nameSyncVar(sim::SyncVarId var,
                            const std::string &label)
 {
-    syncVars_[var].label = label;
+    labels_[var] = label;
+}
+
+const std::string &
+TraceRecorder::syncVarLabel(sim::SyncVarId var) const
+{
+    static const std::string none;
+    auto it = labels_.find(var);
+    return it == labels_.end() ? none : it->second;
 }
 
 void
@@ -96,14 +86,12 @@ TraceRecorder::clear()
 {
     phases_.clear();
     resources_.clear();
-    counters_.clear();
-    instants_.clear();
     waitEdges_.clear();
     waitSiteEdges_.clear();
     opSpans_.clear();
     syncOpEvents_.clear();
     samples_.clear();
-    syncVars_.clear();
+    labels_.clear();
 }
 
 namespace {
@@ -144,8 +132,6 @@ TraceRecorder::chromeTrace() const
     std::vector<sim::ProcId> procs;
     for (const auto &e : phases_)
         procs.push_back(e.who);
-    for (const auto &e : instants_)
-        procs.push_back(e.who);
     std::sort(procs.begin(), procs.end());
     procs.erase(std::unique(procs.begin(), procs.end()),
                 procs.end());
@@ -173,8 +159,7 @@ TraceRecorder::chromeTrace() const
         resourceTid(e.resource, e.index);
     for (size_t i = 0; i < resourceIds.size(); ++i) {
         std::string label = resourceIds[i].first;
-        if (resourceIds[i].second ||
-            label.find("module") != std::string::npos)
+        if (resourceIds[i].second || label == sim::memoryModuleResource)
             label += "[" + std::to_string(resourceIds[i].second) +
                      "]";
         events.push(metadataEvent(pidResources, static_cast<int>(i),
@@ -194,18 +179,6 @@ TraceRecorder::chromeTrace() const
         events.push(std::move(ev));
     }
 
-    for (const auto &e : instants_) {
-        json::Value ev = json::object();
-        ev.set("name", e.name);
-        ev.set("cat", "instant");
-        ev.set("ph", "i");
-        ev.set("s", "t");
-        ev.set("ts", e.at);
-        ev.set("pid", pidProcs);
-        ev.set("tid", static_cast<int>(e.who));
-        events.push(std::move(ev));
-    }
-
     for (const auto &e : resources_) {
         json::Value ev = json::object();
         ev.set("name", "busy");
@@ -217,19 +190,6 @@ TraceRecorder::chromeTrace() const
         ev.set("tid", resourceTid(e.resource, e.index));
         json::Value args = json::object();
         args.set("proc", e.who);
-        ev.set("args", std::move(args));
-        events.push(std::move(ev));
-    }
-
-    for (const auto &e : counters_) {
-        json::Value ev = json::object();
-        ev.set("name", e.counter);
-        ev.set("cat", "counter");
-        ev.set("ph", "C");
-        ev.set("ts", e.at);
-        ev.set("pid", pidResources);
-        json::Value args = json::object();
-        args.set("value", e.value);
         ev.set("args", std::move(args));
         events.push(std::move(ev));
     }
@@ -279,37 +239,6 @@ TraceRecorder::writeChromeTrace(std::ostream &os) const
 {
     chromeTrace().dump(os, 0);
     os << "\n";
-}
-
-json::Value
-TraceRecorder::syncVarSummary() const
-{
-    std::vector<const std::pair<const sim::SyncVarId,
-                                SyncVarStats> *> order;
-    order.reserve(syncVars_.size());
-    for (const auto &entry : syncVars_)
-        order.push_back(&entry);
-    std::stable_sort(order.begin(), order.end(),
-                     [](const auto *a, const auto *b) {
-                         return a->second.total > b->second.total;
-                     });
-
-    json::Value arr = json::array();
-    for (const auto *entry : order) {
-        json::Value var = json::object();
-        var.set("var", static_cast<std::uint64_t>(entry->first));
-        if (!entry->second.label.empty())
-            var.set("label", entry->second.label);
-        var.set("total", entry->second.total);
-        var.set("wait_cycles", static_cast<std::uint64_t>(
-                                   entry->second.waitCycles));
-        json::Value ops = json::object();
-        for (const auto &op : entry->second.opCounts)
-            ops.set(op.first, op.second);
-        var.set("ops", std::move(ops));
-        arr.push(std::move(var));
-    }
-    return arr;
 }
 
 } // namespace core

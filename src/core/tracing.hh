@@ -3,9 +3,9 @@
  * Concrete trace recorder and exporters.
  *
  * TraceRecorder implements sim::Tracer by buffering every reported
- * event in memory; after the run it can be exported as Chrome
- * trace-event JSON (load in Perfetto / chrome://tracing) or reduced
- * to a per-synchronization-variable contention summary. Recording is
+ * event in memory; after the run the profile, blame and timeline
+ * builders read it, and it can be exported as Chrome trace-event
+ * JSON (load in Perfetto / chrome://tracing). Recording is
  * append-only and passive — it never touches the event queue — so a
  * traced run produces statistics identical to an untraced one.
  */
@@ -44,20 +44,6 @@ class TraceRecorder : public sim::Tracer
         sim::ProcId who;
         sim::Tick start;
         sim::Tick end;
-    };
-
-    struct CounterEvent
-    {
-        std::string counter;
-        sim::Tick at;
-        double value;
-    };
-
-    struct InstantEvent
-    {
-        std::string name;
-        sim::ProcId who;
-        sim::Tick at;
     };
 
     /** One satisfied wait: `who` blocked on `var` over [start, end). */
@@ -109,17 +95,16 @@ class TraceRecorder : public sim::Tracer
     };
 
     /**
-     * One sync-variable access event with its actor and time
-     * ("write", "broadcast", "rmw", "keyed", ...). The profiler
-     * scans these to find which processor's operation satisfied a
-     * blocked wait.
+     * One sync-variable access event with its actor and time. The
+     * profiler scans these to find which processor's operation
+     * satisfied a blocked wait.
      */
     struct SyncOpEvent
     {
         sim::SyncVarId var;
         sim::ProcId who;
         sim::Tick at;
-        std::string op;
+        sim::SyncOp op;
     };
 
     /**
@@ -135,26 +120,12 @@ class TraceRecorder : public sim::Tracer
         double value;
     };
 
-    struct SyncVarStats
-    {
-        std::string label;
-        /** op name -> count ("write", "poll", "wait", ...). */
-        std::map<std::string, std::uint64_t> opCounts;
-        std::uint64_t total = 0;
-        /** Cycles processors spent blocked on this variable. */
-        sim::Tick waitCycles = 0;
-    };
-
     void phaseInterval(sim::ProcId who, sim::TracePhase phase,
                        sim::Tick start, sim::Tick end) override;
     void resourceBusy(const std::string &resource, unsigned index,
                       sim::ProcId who, sim::Tick start,
                       sim::Tick end) override;
-    void counterSample(const std::string &counter, sim::Tick at,
-                       double value) override;
-    void instant(const std::string &name, sim::ProcId who,
-                 sim::Tick at) override;
-    void syncVarOp(sim::SyncVarId var, const char *op,
+    void syncVarOp(sim::SyncVarId var, sim::SyncOp op,
                    sim::ProcId who, sim::Tick at) override;
     void waitEdge(sim::SyncVarId var, sim::ProcId who,
                   sim::Tick start, sim::Tick end) override;
@@ -176,18 +147,6 @@ class TraceRecorder : public sim::Tracer
     {
         return resources_;
     }
-    const std::vector<CounterEvent> &counters() const
-    {
-        return counters_;
-    }
-    const std::vector<InstantEvent> &instants() const
-    {
-        return instants_;
-    }
-    const std::map<sim::SyncVarId, SyncVarStats> &syncVars() const
-    {
-        return syncVars_;
-    }
     const std::vector<WaitEdge> &waitEdges() const
     {
         return waitEdges_;
@@ -206,11 +165,13 @@ class TraceRecorder : public sim::Tracer
         return syncOpEvents_;
     }
 
+    /** Label nameSyncVar gave `var`; empty when it has none. */
+    const std::string &syncVarLabel(sim::SyncVarId var) const;
+
     std::size_t
     eventCount() const
     {
         return phases_.size() + resources_.size() +
-               counters_.size() + instants_.size() +
                waitEdges_.size() + opSpans_.size();
     }
 
@@ -222,34 +183,24 @@ class TraceRecorder : public sim::Tracer
      * `{"traceEvents": [...], "displayTimeUnit": "ns"}`. One tick
      * maps to one microsecond of trace time. Process 0 holds one
      * thread per simulated processor (phase intervals as complete
-     * "X" events, instants as "i"); process 1 holds one thread per
-     * hardware resource (bus, memory modules) plus counter "C"
-     * tracks for the sampled queue depths.
+     * "X" events); process 1 holds one thread per hardware resource
+     * (bus, memory modules) plus a counter "C" track per timeline
+     * stream, bus queue depth among them, when the run was sampled.
      */
     void writeChromeTrace(std::ostream &os) const;
 
     /** Chrome trace as a json::Value (tests introspect this). */
     json::Value chromeTrace() const;
 
-    /**
-     * Per-sync-variable contention summary:
-     * `[{"var": id, "label": ..., "total": n, "wait_cycles": w,
-     * "ops": {...}}, ...]`
-     * sorted by descending total so the hottest variable is first.
-     */
-    json::Value syncVarSummary() const;
-
   private:
     std::vector<PhaseEvent> phases_;
     std::vector<ResourceEvent> resources_;
-    std::vector<CounterEvent> counters_;
-    std::vector<InstantEvent> instants_;
     std::vector<WaitEdge> waitEdges_;
     std::vector<WaitSiteEdge> waitSiteEdges_;
     std::vector<OpSpan> opSpans_;
     std::vector<SyncOpEvent> syncOpEvents_;
     std::vector<TimelineSample> samples_;
-    std::map<sim::SyncVarId, SyncVarStats> syncVars_;
+    std::map<sim::SyncVarId, std::string> labels_;
 };
 
 } // namespace core

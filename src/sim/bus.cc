@@ -65,9 +65,6 @@ Bus::queued()
 {
     ++waiting;
     maxQueueStat.updateMax(static_cast<double>(waiting));
-    PSYNC_TRACE(tracer,
-                counterSample(name_ + ".queue_depth", eventq.now(),
-                              static_cast<double>(waiting)));
     if (!granting)
         grantNext();
 }
@@ -103,9 +100,6 @@ Bus::grantNext()
                   name_.c_str(), who,
                   static_cast<unsigned long long>(grant - issued));
     PSYNC_TRACE(tracer, resourceBusy(name_, 0, who, grant, done));
-    PSYNC_TRACE(tracer,
-                counterSample(name_ + ".queue_depth", eventq.now(),
-                              static_cast<double>(waiting)));
 
     if (burst) {
         if (req.count == 0)

@@ -76,7 +76,7 @@ HierarchicalSyncFabric::waitGE(ProcId who, SyncVarId var,
                   who, var,
                   static_cast<unsigned long long>(threshold), c,
                   static_cast<unsigned long long>(images[word]));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::wait, who, eventq.now()));
     ops.wait(who, word, threshold, images[word], std::move(on_done));
 }
 
@@ -110,7 +110,7 @@ void
 HierarchicalSyncFabric::commitGlobal(SyncVarId var, SyncWord value)
 {
     ++globalBroadcastsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "broadcast", 0, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::broadcast, 0, eventq.now()));
     values[var] = value;
     for (unsigned c = 0; c < numClusters(); ++c)
         commitCluster(c, var, value);
@@ -124,12 +124,12 @@ HierarchicalSyncFabric::write(ProcId who, SyncVarId var,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (cluster %u)", who, var,
                   static_cast<unsigned long long>(value), c);
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::write, who, eventq.now()));
     PendingWrite &pw = pendingLocal[pairKey(who, var)];
     if (!pw.post(value, coalesceEnabled)) {
         ++coalescedLocalStat;
         PSYNC_TRACE(tracer,
-                    syncVarOp(var, "coalesced", who, eventq.now()));
+                    syncVarOp(var, SyncOp::coalesced, who, eventq.now()));
     } else {
         PendingWrite *entry = &pw;
         clusterBuses[c]->transact(
@@ -168,7 +168,7 @@ HierarchicalSyncFabric::fetchInc(ProcId who, SyncVarId var,
                                  ValueHandler on_done)
 {
     unsigned c = clusterOf(who);
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::rmw, who, eventq.now()));
     // The handler rests in a held slot, so the bus closure
     // captures only plain words.
     std::uint32_t slot = ops.hold(std::move(on_done));

@@ -136,7 +136,7 @@ CombiningSyncFabric::waitGE(ProcId who, SyncVarId var,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(threshold));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::wait, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::poll;
@@ -166,7 +166,7 @@ CombiningSyncFabric::read(ProcId who, SyncVarId var,
                           ValueHandler on_done)
 {
     ++readsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "poll", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::poll, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::read;
@@ -187,7 +187,7 @@ CombiningSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (combining fabric)", who,
                   var, static_cast<unsigned long long>(value));
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::write, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::write;
@@ -209,7 +209,7 @@ CombiningSyncFabric::fetchInc(ProcId who, SyncVarId var,
                               ValueHandler on_done)
 {
     ++rmwsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::rmw, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.kind = OpState::Kind::rmw;

@@ -1,6 +1,5 @@
 #include "sim/logging.hh"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
@@ -93,14 +92,6 @@ constexpr ComponentName debugComponents[] = {
     {"net", DebugNet},     {"all", DebugAll},
 };
 
-/**
- * -1 = uninitialized; otherwise the active mask. Atomic because
- * parallel bench sweeps (psync_bench --jobs) run simulations on
- * several threads; first-use initialization from the environment is
- * idempotent, so a racing double-init stores the same value.
- */
-std::atomic<int> activeMask{-1};
-
 std::string
 lowered(const std::string &s)
 {
@@ -148,29 +139,29 @@ parseDebugFilter(const std::string &spec, std::string *unknown)
     return mask;
 }
 
+namespace detail {
+
 unsigned
-debugMask()
+initDebugMask()
 {
-    int current = activeMask.load(std::memory_order_relaxed);
-    if (current < 0) {
-        const char *env = std::getenv("PSYNC_DEBUG");
-        std::string unknown;
-        unsigned mask =
-            env ? parseDebugFilter(env, &unknown) : 0;
-        if (!unknown.empty())
-            warn("PSYNC_DEBUG: unknown component '%s'",
-                 unknown.c_str());
-        current = static_cast<int>(mask);
-        activeMask.store(current, std::memory_order_relaxed);
-    }
-    return static_cast<unsigned>(current);
+    // First-use initialization from the environment is idempotent,
+    // so a racing double-init stores the same value.
+    const char *env = std::getenv("PSYNC_DEBUG");
+    std::string unknown;
+    unsigned mask = env ? parseDebugFilter(env, &unknown) : 0;
+    if (!unknown.empty())
+        warn("PSYNC_DEBUG: unknown component '%s'", unknown.c_str());
+    debugMaskWord.store(mask, std::memory_order_relaxed);
+    return mask;
 }
+
+} // namespace detail
 
 void
 setDebugMask(unsigned mask)
 {
-    activeMask.store(static_cast<int>(mask),
-                     std::memory_order_relaxed);
+    detail::debugMaskWord.store(mask & DebugAll,
+                                std::memory_order_relaxed);
 }
 
 void

@@ -18,6 +18,7 @@
 #ifndef PSYNC_SIM_LOGGING_HH
 #define PSYNC_SIM_LOGGING_HH
 
+#include <atomic>
 #include <cstdarg>
 #include <string>
 
@@ -69,14 +70,43 @@ enum DebugComponent : unsigned
 unsigned parseDebugFilter(const std::string &spec,
                           std::string *unknown = nullptr);
 
+namespace detail {
+
+/** debugMaskWord before the first debugMask() or setDebugMask(). */
+constexpr unsigned debugMaskUnset = ~0u;
+
+/**
+ * The active mask, or debugMaskUnset. Atomic because parallel bench
+ * sweeps (psync_bench --jobs) run simulations on several threads.
+ */
+inline std::atomic<unsigned> debugMaskWord{debugMaskUnset};
+
+/**
+ * Parse PSYNC_DEBUG into debugMaskWord, warning about unknown
+ * names, and return the mask.
+ */
+unsigned initDebugMask();
+
+} // namespace detail
+
 /**
  * The active component mask. Initialized from PSYNC_DEBUG on first
- * use (warning once about unknown names), overridable with
- * setDebugMask().
+ * use, overridable with setDebugMask(). Inline so a PSYNC_DPRINTF
+ * site costs one relaxed load and a branch.
  */
-unsigned debugMask();
+inline unsigned
+debugMask()
+{
+    unsigned mask =
+        detail::debugMaskWord.load(std::memory_order_relaxed);
+    return mask != detail::debugMaskUnset ? mask
+                                          : detail::initDebugMask();
+}
 
-/** Override the active mask (tests, programmatic enabling). */
+/**
+ * Override the active mask (tests, programmatic enabling). Bits
+ * outside DebugAll are dropped.
+ */
 void setDebugMask(unsigned mask);
 
 /** True when component `c` is selected. */

@@ -85,10 +85,8 @@ Machine::run(Processor::Dispatch dispatch, Tick limit)
 {
     for (auto &proc : processors_)
         proc->start(dispatch);
-#ifndef PSYNC_TRACING_DISABLED
     if (tracer_ && config_.timelineInterval > 0)
         return runSampled(limit);
-#endif
     bool drained = eventq_.run(limit);
     return drained && allHalted();
 }
@@ -145,7 +143,6 @@ Machine::runSampled(Tick limit)
 void
 Machine::sampleTimeline(Tick at)
 {
-#ifndef PSYNC_TRACING_DISABLED
     if (!tracer_)
         return;
     Tracer &t = *tracer_;
@@ -172,9 +169,6 @@ Machine::sampleTimeline(Tick at)
         t.sample(SampleStream::procActivity, id, at,
                  static_cast<double>(a));
     }
-#else
-    (void)at;
-#endif
 }
 
 Tick

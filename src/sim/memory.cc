@@ -65,7 +65,7 @@ Memory::occupy(unsigned module, ProcId who, Tick service_cycles)
                   static_cast<unsigned long long>(start),
                   static_cast<unsigned long long>(done));
     PSYNC_TRACE(tracer,
-                resourceBusy("memory.module", module, who, start, done));
+                resourceBusy(memoryModuleResource, module, who, start, done));
     return done;
 }
 

@@ -36,7 +36,6 @@ Processor::fetchNext()
             haltTick_ = eventq.now();
             setActivity(ProcActivity::halted);
             PSYNC_DPRINTF(eventq, Proc, "proc %u halted", id_);
-            PSYNC_TRACE(tracer, instant("halt", id_, eventq.now()));
             return;
         }
         beginProgram(program);

@@ -85,14 +85,8 @@ class Processor
     void
     tracePhase(TracePhase phase, Tick start, Tick end)
     {
-#ifndef PSYNC_TRACING_DISABLED
         if (tracer && end > start)
             tracer->phaseInterval(id_, phase, start, end);
-#else
-        (void)phase;
-        (void)start;
-        (void)end;
-#endif
     }
 
     /**
@@ -104,29 +98,16 @@ class Processor
     traceOpSpan(std::uint32_t op_id, OpKind kind, SyncVarId var,
                 std::uint64_t iter, Tick start, Tick end)
     {
-#ifndef PSYNC_TRACING_DISABLED
         if (tracer && end > start)
             tracer->opSpan(id_, iter, op_id, kind, var, start, end);
-#else
-        (void)op_id;
-        (void)kind;
-        (void)var;
-        (void)iter;
-        (void)start;
-        (void)end;
-#endif
     }
 
     /** Update live activity state (no-op when untraced). */
     void
     setActivity(ProcActivity a)
     {
-#ifndef PSYNC_TRACING_DISABLED
         if (tracer)
             activity_ = a;
-#else
-        (void)a;
-#endif
     }
 
     /** Iteration an op belongs to (iterTag overrides program iter). */

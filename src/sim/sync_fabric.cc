@@ -114,7 +114,8 @@ MemorySyncFabric::notePoll(std::uint32_t slot)
 {
     ++pollsStat;
     const OpState &op = ops[slot];
-    PSYNC_TRACE(tracer, syncVarOp(op.var, "poll", op.who, eventq.now()));
+    PSYNC_TRACE(tracer,
+                syncVarOp(op.var, SyncOp::poll, op.who, eventq.now()));
     return op;
 }
 
@@ -206,7 +207,7 @@ MemorySyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u wait v%u >= %llu (memory fabric)", who,
                   var, static_cast<unsigned long long>(threshold));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::wait, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.who = who;
@@ -232,7 +233,7 @@ MemorySyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (memory fabric)", who,
                   var, static_cast<unsigned long long>(value));
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::write, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     ops[slot].var = var;
     ops[slot].onDone = std::move(on_done);
@@ -255,7 +256,7 @@ MemorySyncFabric::fetchInc(ProcId who, SyncVarId var,
                            ValueHandler on_done)
 {
     ++rmwsStat;
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::rmw, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     ops[slot].var = var;
     ops[slot].onValue = std::move(on_done);
@@ -323,7 +324,7 @@ MemorySyncFabric::keyedAccess(ProcId who, SyncVarId key,
                               WaitHandler on_done)
 {
     ++keyedOpsStat;
-    PSYNC_TRACE(tracer, syncVarOp(key, "keyed", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(key, SyncOp::keyed, who, eventq.now()));
     std::uint32_t slot = ops.alloc();
     OpState &op = ops[slot];
     op.who = who;
@@ -475,7 +476,7 @@ RegisterSyncFabric::waitGE(ProcId who, SyncVarId var, SyncWord threshold,
                   "proc %u wait v%u >= %llu (local image %llu)", who,
                   var, static_cast<unsigned long long>(threshold),
                   static_cast<unsigned long long>(values[var]));
-    PSYNC_TRACE(tracer, syncVarOp(var, "wait", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::wait, who, eventq.now()));
     ops.wait(who, var, threshold, values[var], std::move(on_done));
 }
 
@@ -504,14 +505,14 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
     PSYNC_DPRINTF(eventq, Sync,
                   "proc %u write v%u = %llu (register fabric)", who,
                   var, static_cast<unsigned long long>(value));
-    PSYNC_TRACE(tracer, syncVarOp(var, "write", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::write, who, eventq.now()));
     PendingWrite &pw = pendingWrites[key];
     if (!pw.post(value, coalesceEnabled)) {
         // A broadcast of this variable from this processor is still
         // waiting for the bus; the newer value covers the older one.
         ++coalescedStat;
-        PSYNC_TRACE(tracer,
-                    syncVarOp(var, "coalesced", who, eventq.now()));
+        PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::coalesced, who,
+                                      eventq.now()));
     } else {
         // The value is latched at grant time: once the write gains
         // the bus it can no longer be covered by a newer write
@@ -521,10 +522,8 @@ RegisterSyncFabric::write(ProcId who, SyncVarId var, SyncWord value,
             who, [entry](Tick) { entry->latch(); },
             [this, who, var, entry](Tick) {
                 ++broadcastsStat;
-                PSYNC_TRACE(tracer, instant("sync_broadcast", who,
-                                            eventq.now()));
-                PSYNC_TRACE(tracer, syncVarOp(var, "broadcast", who,
-                                              eventq.now()));
+                PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::broadcast,
+                                              who, eventq.now()));
                 commit(var, entry->latched);
             });
     }
@@ -539,13 +538,11 @@ RegisterSyncFabric::fetchInc(ProcId who, SyncVarId var,
     // Atomicity comes from bus serialization: the increment is
     // applied at broadcast time, and no value is returned until
     // this processor's turn on the bus.
-    PSYNC_TRACE(tracer, syncVarOp(var, "rmw", who, eventq.now()));
+    PSYNC_TRACE(tracer, syncVarOp(var, SyncOp::rmw, who, eventq.now()));
     std::uint32_t slot = ops.hold(std::move(on_done));
     syncBus.transact(who, [this, who, var, slot](Tick) {
         SyncWord old_value = values[var];
         ++broadcastsStat;
-        PSYNC_TRACE(tracer,
-                    instant("sync_broadcast", who, eventq.now()));
         commit(var, old_value + 1);
         ops.run(slot, old_value);
     });

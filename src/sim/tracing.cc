@@ -24,6 +24,28 @@ tracePhaseName(TracePhase phase)
 }
 
 const char *
+syncOpName(SyncOp op)
+{
+    switch (op) {
+      case SyncOp::poll:
+        return "poll";
+      case SyncOp::wait:
+        return "wait";
+      case SyncOp::write:
+        return "write";
+      case SyncOp::rmw:
+        return "rmw";
+      case SyncOp::keyed:
+        return "keyed";
+      case SyncOp::broadcast:
+        return "broadcast";
+      case SyncOp::coalesced:
+        return "coalesced";
+    }
+    return "unknown";
+}
+
+const char *
 sampleStreamName(SampleStream stream)
 {
     switch (stream) {

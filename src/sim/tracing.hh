@@ -6,15 +6,14 @@
  * synchronization fabrics) report what they are doing through an
  * optional Tracer pointer: per-processor phase intervals (the
  * compute / spin / sync-overhead / stall split the paper argues
- * about), resource occupancy, counter samples and per-sync-variable
- * access events, all stamped with simulator Ticks.
+ * about), resource occupancy, per-sync-variable access events, wait
+ * edges, op spans and fixed-interval timeline samples, all stamped
+ * with simulator Ticks.
  *
  * The default tracer is null and every hook site guards on the
  * pointer, so an untraced run pays one predicted-not-taken branch
- * per event and records nothing. Defining PSYNC_TRACING_DISABLED
- * removes the hook sites entirely at compile time. Concrete
- * recorders and exporters (Chrome trace-event JSON, per-variable
- * contention summaries) live in core/tracing.{hh,cc}.
+ * per event and records nothing. The concrete recorder and its
+ * Chrome trace-event export live in core/tracing.{hh,cc}.
  */
 
 #ifndef PSYNC_SIM_TRACING_HH
@@ -46,6 +45,34 @@ enum class TracePhase
 
 /** Short printable phase name ("compute", "spin", ...). */
 const char *tracePhaseName(TracePhase phase);
+
+/** What a processor did to a synchronization variable. */
+enum class SyncOp : std::uint8_t
+{
+    /** Re-read a memory-resident variable while spinning. */
+    poll,
+    /** Began waiting for the variable to reach a threshold. */
+    wait,
+    /** Issued a store (a posted write on the register fabrics). */
+    write,
+    /** Issued an atomic read-modify-write (fetch-and-increment). */
+    rmw,
+    /** Issued a Cedar keyed access (test-and-op at the module). */
+    keyed,
+    /** A posted write won the sync bus and reached every copy. */
+    broadcast,
+    /** A posted write was covered by a newer pending write. */
+    coalesced,
+};
+
+/** Short printable op name ("poll", "write", ...). */
+const char *syncOpName(SyncOp op);
+
+/**
+ * Resource name memory modules report their busy intervals under
+ * (Tracer::resourceBusy, indexed by module number).
+ */
+constexpr const char *memoryModuleResource = "memory.module";
 
 /**
  * A fixed-interval timeline counter stream. The machine samples
@@ -132,10 +159,11 @@ constexpr unsigned numProcActivities = 7;
 const char *procActivityName(ProcActivity activity);
 
 /**
- * Abstract event consumer. All hooks are passive: a tracer must not
+ * Event consumer. All hooks are passive: a tracer must not
  * schedule events or otherwise perturb the simulation, so a traced
  * run and an untraced run of the same configuration produce
- * identical statistics.
+ * identical statistics. Every hook defaults to a no-op, so a tracer
+ * overrides only the events it reads.
  */
 class Tracer
 {
@@ -148,32 +176,35 @@ class Tracer
      * one operation outstanding at a time); components do not emit
      * empty intervals.
      */
-    virtual void phaseInterval(ProcId who, TracePhase phase,
-                               Tick start, Tick end) = 0;
+    virtual void
+    phaseInterval(ProcId who, TracePhase phase, Tick start, Tick end)
+    {
+        (void)who; (void)phase; (void)start; (void)end;
+    }
 
     /**
      * Resource `resource[index]` (a bus, a memory module) was
      * occupied over [start, end) on behalf of processor `who`.
      */
-    virtual void resourceBusy(const std::string &resource,
-                              unsigned index, ProcId who,
-                              Tick start, Tick end) = 0;
-
-    /** Sampled counter value (e.g. bus queue depth) at `at`. */
-    virtual void counterSample(const std::string &counter, Tick at,
-                               double value) = 0;
-
-    /** Instantaneous event (e.g. a sync-bus broadcast) at `at`. */
-    virtual void instant(const std::string &name, ProcId who,
-                         Tick at) = 0;
+    virtual void
+    resourceBusy(const std::string &resource, unsigned index,
+                 ProcId who, Tick start, Tick end)
+    {
+        (void)resource; (void)index; (void)who; (void)start;
+        (void)end;
+    }
 
     /**
-     * Processor `who` performed `op` ("write", "poll", "rmw",
-     * "wait", "broadcast", "keyed") on synchronization variable
-     * `var` at `at`. Feeds the per-variable contention breakdown.
+     * Processor `who` performed `op` on synchronization variable
+     * `var` at `at`. The profiler finds the access that satisfied a
+     * wait among these; the timeline buckets them into per-variable
+     * traffic.
      */
-    virtual void syncVarOp(SyncVarId var, const char *op, ProcId who,
-                           Tick at) = 0;
+    virtual void
+    syncVarOp(SyncVarId var, SyncOp op, ProcId who, Tick at)
+    {
+        (void)var; (void)op; (void)who; (void)at;
+    }
 
     /**
      * Processor `who` was blocked on synchronization variable `var`
@@ -184,8 +215,11 @@ class Tracer
      * (core/blame) turns these edges into per-variable wait-chain
      * attribution.
      */
-    virtual void waitEdge(SyncVarId var, ProcId who, Tick start,
-                          Tick end) = 0;
+    virtual void
+    waitEdge(SyncVarId var, ProcId who, Tick start, Tick end)
+    {
+        (void)var; (void)who; (void)start; (void)end;
+    }
 
     /**
      * Like waitEdge, but emitted by the processor for program ops
@@ -193,8 +227,7 @@ class Tracer
      * ir::ProgramBuilder at lowering time; 0 for hand-built
      * programs). Lets blame reports attribute spin to the emitting
      * wait *site* across iterations, surviving IR passes that
-     * delete or merge neighboring ops. Default is a no-op so
-     * existing tracers need no change.
+     * delete or merge neighboring ops.
      */
     virtual void
     waitEdgeOp(SyncVarId var, ProcId who, std::uint32_t op_id,
@@ -212,7 +245,6 @@ class Tracer
      * input of the causal critical-path profiler (core/profile):
      * spans give program order per processor, wait edges give the
      * cross-processor arcs. Components do not emit empty spans.
-     * Default is a no-op so existing tracers need no change.
      */
     virtual void
     opSpan(ProcId who, std::uint64_t iter, std::uint32_t op_id,
@@ -230,8 +262,7 @@ class Tracer
      * (sampleStreamCumulative) carry running totals; instantaneous
      * streams carry state snapshots. Sparse streams (per-sync-var
      * waiter counts) only report entities with nonzero values, so a
-     * missing sample means zero. Default is a no-op so existing
-     * tracers need no change.
+     * missing sample means zero.
      */
     virtual void
     sample(SampleStream stream, std::uint32_t index, Tick at,
@@ -245,7 +276,7 @@ class Tracer
      * stride`. The machine calls this when its series reaches
      * Machine::timelineSampleCap, doubling the interval, so
      * the series left is the one sampling at `stride` from the
-     * start would have produced. Default is a no-op.
+     * start would have produced.
      */
     virtual void
     thinSamples(Tick origin, Tick stride)
@@ -257,8 +288,11 @@ class Tracer
      * Attach a human-readable label to a synchronization variable
      * (called by the schemes at plan time, e.g. "pc[3]", "key[17]").
      */
-    virtual void nameSyncVar(SyncVarId var,
-                             const std::string &label) = 0;
+    virtual void
+    nameSyncVar(SyncVarId var, const std::string &label)
+    {
+        (void)var; (void)label;
+    }
 };
 
 } // namespace sim
@@ -266,19 +300,12 @@ class Tracer
 
 /**
  * Hook-site helper: evaluates its arguments and dispatches only
- * when a tracer is attached; compiled out entirely when
- * PSYNC_TRACING_DISABLED is defined.
+ * when a tracer is attached.
  */
-#ifdef PSYNC_TRACING_DISABLED
-#define PSYNC_TRACE(tracer, call)                                   \
-    do {                                                            \
-    } while (0)
-#else
 #define PSYNC_TRACE(tracer, call)                                   \
     do {                                                            \
         if (tracer)                                                 \
             (tracer)->call;                                         \
     } while (0)
-#endif
 
 #endif // PSYNC_SIM_TRACING_HH

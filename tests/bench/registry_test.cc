@@ -196,20 +196,6 @@ class BatchTicks : public sim::Tracer
             return (at - origin) % stride != 0;
         });
     }
-
-    void phaseInterval(sim::ProcId, sim::TracePhase, sim::Tick,
-                       sim::Tick) override {}
-    void resourceBusy(const std::string &, unsigned, sim::ProcId,
-                      sim::Tick, sim::Tick) override {}
-    void counterSample(const std::string &, sim::Tick,
-                       double) override {}
-    void instant(const std::string &, sim::ProcId,
-                 sim::Tick) override {}
-    void syncVarOp(sim::SyncVarId, const char *, sim::ProcId,
-                   sim::Tick) override {}
-    void waitEdge(sim::SyncVarId, sim::ProcId, sim::Tick,
-                  sim::Tick) override {}
-    void nameSyncVar(sim::SyncVarId, const std::string &) override {}
 };
 
 } // namespace

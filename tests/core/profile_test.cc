@@ -49,7 +49,7 @@ makeHandBuiltTrace()
 
     rec.opSpan(0, 1, 1, ir::OpKind::compute, 0, 0, 100);
     rec.opSpan(0, 1, 2, ir::OpKind::syncWrite, 7, 100, 110);
-    rec.syncVarOp(7, "write", 0, 110);
+    rec.syncVarOp(7, sim::SyncOp::write, 0, 110);
 
     rec.opSpan(1, 2, 3, ir::OpKind::syncWaitGE, 7, 50, 130);
     rec.waitEdge(7, 1, 55, 130);

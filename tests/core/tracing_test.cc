@@ -194,28 +194,36 @@ TEST(TracingTest, RepeatedRunsAreIdentical)
 TEST(TracingTest, ResourceAndBroadcastEventsAreRecorded)
 {
     core::TraceRecorder recorder;
-    ASSERT_TRUE(runRelaxationPipeline(&recorder).completed);
+    core::RunResult result = runRelaxationPipeline(&recorder);
+    ASSERT_TRUE(result.completed);
 
     // The register fabric broadcasts over the sync bus; the data
     // accesses occupy the data bus and memory modules.
-    bool saw_sync_bus = false;
+    std::set<std::pair<sim::ProcId, sim::Tick>> sync_bus_done;
     bool saw_memory = false;
     for (const auto &e : recorder.resources()) {
         ASSERT_LE(e.start, e.end);
         if (e.resource == "sync_bus")
-            saw_sync_bus = true;
-        if (e.resource == "memory.module")
+            sync_bus_done.insert({e.who, e.end});
+        if (e.resource == sim::memoryModuleResource)
             saw_memory = true;
     }
-    EXPECT_TRUE(saw_sync_bus);
     EXPECT_TRUE(saw_memory);
+    ASSERT_GT(result.syncBusBroadcasts, 0u);
+    EXPECT_EQ(sync_bus_done.size(), result.syncBusBroadcasts);
 
-    bool saw_broadcast = false;
-    for (const auto &e : recorder.instants()) {
-        if (e.name == "sync_broadcast")
-            saw_broadcast = true;
+    // Each broadcast is its writer's sync-bus transaction: the
+    // broadcast event lands as that transaction completes.
+    std::uint64_t broadcasts = 0;
+    for (const auto &e : recorder.syncOpEvents()) {
+        if (e.op != sim::SyncOp::broadcast)
+            continue;
+        ++broadcasts;
+        EXPECT_TRUE(sync_bus_done.count({e.who, e.at}))
+            << "broadcast by proc " << e.who << " at " << e.at
+            << " has no sync_bus span ending there";
     }
-    EXPECT_TRUE(saw_broadcast);
+    EXPECT_EQ(broadcasts, result.syncBusBroadcasts);
 }
 
 TEST(TracingTest, SyncVarOpsAreCountedAndLabeled)
@@ -231,29 +239,29 @@ TEST(TracingTest, SyncVarOpsAreCountedAndLabeled)
     ASSERT_TRUE(r.run.completed);
     ASSERT_TRUE(r.correct());
 
-    ASSERT_FALSE(recorder.syncVars().empty());
+    ASSERT_FALSE(recorder.syncOpEvents().empty());
+    std::map<sim::SyncOp, std::uint64_t> per_op;
     bool saw_pc_label = false;
-    std::uint64_t total_ops = 0;
-    for (const auto &entry : recorder.syncVars()) {
-        total_ops += entry.second.total;
-        if (entry.second.label.rfind("pc[", 0) == 0)
+    for (const auto &e : recorder.syncOpEvents()) {
+        ++per_op[e.op];
+        if (recorder.syncVarLabel(e.var).rfind("pc[", 0) == 0)
             saw_pc_label = true;
     }
     EXPECT_TRUE(saw_pc_label);
-    EXPECT_GT(total_ops, 0u);
 
-    auto summary = recorder.syncVarSummary();
-    ASSERT_TRUE(summary.isArray());
-    ASSERT_FALSE(summary.asArray().empty());
-    // Sorted by descending total.
-    double prev = summary.asArray()[0].find("total")->asNumber();
-    for (const auto &var : summary.asArray()) {
-        double t = var.find("total")->asNumber();
-        EXPECT_LE(t, prev);
-        prev = t;
-        EXPECT_TRUE(var.has("var"));
-        EXPECT_TRUE(var.has("ops"));
-    }
+    // Process-oriented PCs on the register fabric: each posted write
+    // is broadcast or covered by a newer one, and waits never poll.
+    std::uint64_t writes = per_op[sim::SyncOp::write];
+    EXPECT_GT(writes, 0u) << sim::syncOpName(sim::SyncOp::write);
+    EXPECT_GT(per_op[sim::SyncOp::wait], 0u)
+        << sim::syncOpName(sim::SyncOp::wait);
+    EXPECT_EQ(per_op[sim::SyncOp::broadcast] +
+                  per_op[sim::SyncOp::coalesced],
+              writes);
+    EXPECT_EQ(per_op[sim::SyncOp::broadcast], r.run.syncBusBroadcasts);
+    EXPECT_EQ(per_op[sim::SyncOp::coalesced], r.run.coalescedWrites);
+    EXPECT_EQ(per_op.count(sim::SyncOp::poll), 0u);
+    EXPECT_EQ(per_op.count(sim::SyncOp::keyed), 0u);
 }
 
 TEST(TracingTest, ClearDropsAllEvents)
@@ -261,9 +269,13 @@ TEST(TracingTest, ClearDropsAllEvents)
     core::TraceRecorder recorder;
     ASSERT_TRUE(runRelaxationPipeline(&recorder).completed);
     ASSERT_GT(recorder.eventCount(), 0u);
+    ASSERT_FALSE(recorder.syncOpEvents().empty());
+    recorder.nameSyncVar(7, "pc[7]");
+    EXPECT_EQ(recorder.syncVarLabel(7), "pc[7]");
     recorder.clear();
     EXPECT_EQ(recorder.eventCount(), 0u);
-    EXPECT_TRUE(recorder.syncVars().empty());
+    EXPECT_TRUE(recorder.syncOpEvents().empty());
+    EXPECT_TRUE(recorder.syncVarLabel(7).empty());
 }
 
 TEST(TracingTest, RunResultToJsonRoundTrips)

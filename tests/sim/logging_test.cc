@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "sim/logging.hh"
 
 using namespace psync::sim;
@@ -93,4 +95,29 @@ TEST(DebugFilterTest, SetDebugMaskControlsDebugEnabled)
     setDebugMask(0);
     EXPECT_FALSE(debugEnabled(DebugBus));
     setDebugMask(saved);
+}
+
+TEST(DebugFilterTest, SetDebugMaskDropsUnknownBits)
+{
+    unsigned saved = debugMask();
+    setDebugMask(~0u);
+    EXPECT_EQ(debugMask(), static_cast<unsigned>(DebugAll));
+    setDebugMask(saved);
+}
+
+TEST(DebugFilterDeathTest, EnvironmentParsedOnFirstUseWithWarning)
+{
+    // In a child process: set PSYNC_DEBUG, forget any mask read so
+    // far, and read it again as the first PSYNC_DPRINTF site would.
+    EXPECT_EXIT(
+        {
+            setenv("PSYNC_DEBUG", "bus,tubrolift", 1);
+            detail::debugMaskWord.store(detail::debugMaskUnset);
+            bool ok = debugEnabled(DebugBus) &&
+                      !debugEnabled(DebugSync) &&
+                      debugMask() == DebugBus;
+            std::exit(ok ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0),
+        "warn: PSYNC_DEBUG: unknown component 'tubrolift'");
 }

@@ -423,8 +423,6 @@ struct BurstRig : Memory::PollSink
         for (const auto &r : trace.resources())
             os << r.resource << r.index << " " << r.who << " ["
                << r.start << ", " << r.end << ")\n";
-        for (const auto &c : trace.counters())
-            os << c.counter << " @" << c.at << " " << c.value << "\n";
         for (const auto &s : trace.samples())
             os << "sample " << static_cast<int>(s.stream) << "/"
                << s.index << " @" << s.at << " " << s.value << "\n";
