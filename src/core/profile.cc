@@ -68,7 +68,7 @@ isSyncWriterKind(ir::OpKind kind)
     }
 }
 
-/** Sync-var event names that commit a new value (vs. observe one). */
+/** Sync ops that commit a new value (vs. observe one). */
 bool
 isCommitOp(sim::SyncOp op)
 {
