@@ -66,15 +66,15 @@ Bus::queued()
     ++waiting;
     maxQueueStat.updateMax(static_cast<double>(waiting));
     if (!granting)
-        grantNext();
+        grantNext(false);
 }
 
-void
-Bus::grantNext()
+bool
+Bus::grantNext(bool in_step)
 {
     if (pending.empty()) {
         granting = false;
-        return;
+        return false;
     }
     granting = true;
 
@@ -82,7 +82,7 @@ Bus::grantNext()
     Request &req = requests[slot];
     BurstSink *burst = req.burst;
     Tick issued = req.issued;
-    ProcId who = burst ? burst->burstHead() : req.who;
+    ProcId who = req.who;
     if (!burst || --req.count == 0)
         pending.pop_front();
     --waiting;
@@ -95,18 +95,24 @@ Bus::grantNext()
     busyCyclesStat += static_cast<double>(cyclesPerTxn);
     queueDelayStat += static_cast<double>(grant - issued);
 
+    // A burst transaction's requester is only asked for when
+    // someone looks.
     PSYNC_DPRINTF(eventq, Bus,
                   "%s grant proc %u (queued %llu cycles)",
-                  name_.c_str(), who,
+                  name_.c_str(), burst ? burst->burstHead() : who,
                   static_cast<unsigned long long>(grant - issued));
-    PSYNC_TRACE(tracer, resourceBusy(name_, 0, who, grant, done));
+    PSYNC_TRACE(tracer, resourceBusy(name_, 0,
+                                     burst ? burst->burstHead() : who,
+                                     grant, done));
 
     if (burst) {
         if (req.count == 0)
             requests.free(slot);
         stepSink = burst;
+        if (in_step && eventq.stepInline(done))
+            return true;
         eventq.arm(*this, done);
-        return;
+        return false;
     }
 
     // grant == now() here: arbitration happens either immediately
@@ -121,17 +127,21 @@ Bus::grantNext()
         GrantHandler handler = std::move(requests[slot].onDone);
         requests.free(slot);
         handler(grant);
-        grantNext();
+        grantNext(false);
     });
+    return false;
 }
 
 void
 Bus::step()
 {
-    BurstSink *sink = stepSink;
-    stepSink = nullptr;
-    sink->burstDelivered();
-    grantNext();
+    // Deliver, grant the next transaction, and deliver it here too
+    // while the event queue lets its step run in place.
+    do {
+        BurstSink *sink = stepSink;
+        stepSink = nullptr;
+        sink->burstDelivered();
+    } while (grantNext(true));
 }
 
 void

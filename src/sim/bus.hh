@@ -13,7 +13,6 @@
 #define PSYNC_SIM_BUS_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
@@ -147,7 +146,12 @@ class Bus : public Interconnect, private EventQueue::Stepper
 
     /** A transaction joined the queue: count it, grant if idle. */
     void queued();
-    void grantNext();
+    /**
+     * Grant the oldest waiting transaction, if any. From a step
+     * (`in_step`), a burst grant whose own step may run in place
+     * returns true instead of arming it: the caller delivers it.
+     */
+    bool grantNext(bool in_step);
     /** The in-flight burst transaction is done: deliver, grant. */
     void step() override;
 
@@ -163,7 +167,7 @@ class Bus : public Interconnect, private EventQueue::Stepper
      */
     Slab<Request> requests;
     /** Slots of requests waiting for a grant, FIFO. */
-    std::deque<std::uint32_t> pending;
+    Ring<std::uint32_t> pending;
     /** Transactions waiting for a grant (bursts count each one). */
     std::uint64_t waiting = 0;
     /** Sink of the in-flight burst transaction, if one is. */

@@ -62,6 +62,7 @@ EventQueue::arm(Stepper &stepper, Tick when)
     stepper_ = &stepper;
     stepWhen_ = when;
     stepSeq_ = nextSeq_++;
+    ++armed_;
 }
 
 void
@@ -92,6 +93,8 @@ EventQueue::pushRing(SlotKey key)
     bucket.insert(pos, key);
     occupied_[idx / 64] |= std::uint64_t{1} << (idx % 64);
     ++ringCount_;
+    if (ringNext_ != staleTick)
+        ringNext_ = std::min(ringNext_, key.rank);
 }
 
 void
@@ -128,10 +131,11 @@ EventQueue::drainBucket(Tick tick)
     ringCount_ -= bucket.size();
     bucket.clear();
     occupied_[idx / 64] &= ~(std::uint64_t{1} << (idx % 64));
+    ringNext_ = staleTick;
 }
 
 Tick
-EventQueue::nextRingTick() const
+EventQueue::scanRing() const
 {
     if (ringCount_ == 0)
         return maxTick;
@@ -219,6 +223,7 @@ EventQueue::runHeap(Tick limit)
 bool
 EventQueue::run(Tick limit)
 {
+    runLimit_ = limit;
     return core_ == EventCoreKind::calendar ? runCalendar(limit)
                                             : runHeap(limit);
 }
@@ -230,6 +235,7 @@ EventQueue::clear()
         bucket.clear();
     occupied_.fill(0);
     ringCount_ = 0;
+    ringNext_ = maxTick;
     far_.clear();
     handlers_.clear();
     stepper_ = nullptr;

@@ -32,12 +32,16 @@
  * takes the (when, seq) key an event scheduled by the same call
  * would have taken and runs exactly where that event would have
  * run, but it holds no handler slot, never enters the ring or the
- * heap, and does not count as an executed event.
+ * heap, and does not count as an executed event. A running step
+ * whose successor would run before every pending event, and within
+ * the current run's limit, takes that step's (when, seq) position
+ * in place (stepInline) and runs it itself, without arming.
  */
 
 #ifndef PSYNC_SIM_EVENT_QUEUE_HH
 #define PSYNC_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -98,6 +102,9 @@ class EventQueue
     /** Total events executed so far (for diagnostics). */
     std::uint64_t eventsExecuted() const { return executed_; }
 
+    /** Steps armed so far; inline steps are not counted. */
+    std::uint64_t stepsArmed() const { return armed_; }
+
     /** Events whose handler capture spilled to the heap. */
     std::uint64_t heapFallbackEvents() const { return heapFallbacks_; }
 
@@ -120,6 +127,26 @@ class EventQueue
      * @pre when >= now() and no step is armed.
      */
     void arm(Stepper &stepper, Tick when);
+
+    /**
+     * Called by a running step about to arm its successor at
+     * `when`. If that step would run before every pending event
+     * (an event at `when` itself was scheduled earlier, so it runs
+     * first) and within the current run's limit, move now() to
+     * `when`, take the seq arm() would have taken and return true:
+     * the caller runs the successor in place. Otherwise return
+     * false, and the caller arms it.
+     * @pre called from Stepper::step, with no step armed.
+     */
+    bool
+    stepInline(Tick when)
+    {
+        if (when > runLimit_ || when >= nextPendingTick())
+            return false;
+        curTick_ = when;
+        ++nextSeq_;
+        return true;
+    }
 
     /**
      * Run until the queue drains or `limit` is reached.
@@ -195,15 +222,35 @@ class EventQueue
     void drainBucket(Tick tick);
 
     /**
-     * Earliest tick with a ring event at or after curTick_
-     * (maxTick when the ring is empty).
+     * Earliest tick with a ring event (maxTick when the ring is
+     * empty), cached until the earliest bucket drains.
      */
-    Tick nextRingTick() const;
+    Tick
+    nextRingTick()
+    {
+        if (ringNext_ == staleTick)
+            ringNext_ = scanRing();
+        return ringNext_;
+    }
+
+    /** Scan the occupancy bitmap for the earliest ring tick. */
+    Tick scanRing() const;
+
+    /** Earliest tick of any pending event (maxTick when none). */
+    Tick
+    nextPendingTick()
+    {
+        Tick far_next = far_.empty() ? maxTick : far_.top().rank;
+        return std::min(nextRingTick(), far_next);
+    }
 
     EventCoreKind core_;
     Tick curTick_ = 0;
     std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
+    std::uint64_t armed_ = 0;
+    /** Limit of the run in progress: no step may pass it. */
+    Tick runLimit_ = maxTick;
     std::uint64_t heapFallbacks_ = 0;
 
     /** Every pending handler, named by the keys below. */
@@ -214,6 +261,9 @@ class EventQueue
     /** One bit per non-empty bucket, for fast next-tick scans. */
     std::array<std::uint64_t, ringSize / 64> occupied_{};
     std::size_t ringCount_ = 0;
+    /** nextRingTick()'s cache; staleTick until rescanned. */
+    static constexpr Tick staleTick = maxTick - 1;
+    Tick ringNext_ = maxTick;
 
     /**
      * Far-future events as a min-heap on (when, seq). The heap core

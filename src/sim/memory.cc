@@ -95,16 +95,17 @@ Memory::burstDelivered()
 {
     BurstPoll poll = burstPolls.front();
     burstPolls.pop_front();
-    Tick done = occupy(poll.module, poll.who, config.serviceCycles);
-    SyncWord value = peek(poll.addr);
-    if (settles(poll.horizon, value, poll.threshold)) {
+    const BurstTarget &target = poll.target;
+    Tick done = occupy(target.module, poll.who, config.serviceCycles);
+    SyncWord value = *target.word;
+    if (settles(target.horizon, value, poll.threshold)) {
         ++settledPollsStat;
         poll.sink->pollDone(poll.tag, value, done);
         return;
     }
     // A poll that cannot settle completes as a request of its own,
     // from the event poll() would have scheduled here.
-    std::uint32_t slot = open(Request::Kind::poll, poll.who, poll.addr,
+    std::uint32_t slot = open(Request::Kind::poll, poll.who, target.addr,
                               config.serviceCycles);
     requests[slot].onPoll = [sink = poll.sink, tag = poll.tag](
                                 SyncWord v, Tick at) {
@@ -198,12 +199,17 @@ Memory::burstPoll(ProcId who, Addr addr, SyncWord threshold,
         return;
     }
     ++readsStat;
-    Addr word = addr / config.wordBytes;
-    auto module = static_cast<unsigned>(word % config.numModules);
-    accessesStat[module] += 1;
-    burstPolls.push_back({who, module,
-                          static_cast<unsigned>(word % horizonSlots),
-                          addr, threshold, &sink, tag});
+    if (addr != burstTarget.addr) {
+        // A burst's polls all read one word: resolve it once.
+        Addr word = addr / config.wordBytes;
+        burstTarget.addr = addr;
+        burstTarget.module =
+            static_cast<unsigned>(word % config.numModules);
+        burstTarget.horizon = static_cast<unsigned>(word % horizonSlots);
+        burstTarget.word = &words[addr];
+    }
+    accessesStat[burstTarget.module] += 1;
+    burstPolls.push_back({burstTarget, who, tag, threshold, &sink});
     dataBus->transactBurst(*this);
 }
 

@@ -19,7 +19,6 @@
 #define PSYNC_SIM_MEMORY_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -232,16 +231,25 @@ class Memory : private BurstSink
         PollHandler onPoll;
     };
 
+    /** A burst address, resolved once for all of its polls. */
+    struct BurstTarget
+    {
+        Addr addr = ~Addr{0};
+        unsigned module = 0;
+        /** The word's store-horizon slot. */
+        unsigned horizon = 0;
+        /** The word itself (map nodes never move). */
+        const SyncWord *word = nullptr;
+    };
+
     /** A burstPoll() waiting for its bus grant or arrival. */
     struct BurstPoll
     {
+        BurstTarget target;
         ProcId who;
-        unsigned module;
-        unsigned horizon;
-        Addr addr;
+        std::uint32_t tag;
         SyncWord threshold;
         PollSink *sink;
-        std::uint32_t tag;
     };
 
     /**
@@ -294,7 +302,9 @@ class Memory : private BurstSink
     std::unordered_map<Addr, SyncWord> words;
     Slab<Request> requests;
     /** Burst polls on the data bus, oldest (next to arrive) first. */
-    std::deque<BurstPoll> burstPolls;
+    Ring<BurstPoll> burstPolls;
+    /** The address of the latest burstPoll(), resolved. */
+    BurstTarget burstTarget;
 
     stats::Vector accessesStat;
     stats::Scalar queueDelayStat;

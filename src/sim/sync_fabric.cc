@@ -72,15 +72,18 @@ MemorySyncFabric::trackWaitEnd(SyncVarId var)
 void
 MemorySyncFabric::trackPark(ProcId who, Tick from)
 {
-    if (tracer)
-        parkedProcs[who] = from;
+    if (!tracer)
+        return;
+    if (who >= parkedFrom.size())
+        parkedFrom.resize(who + 1, notParked);
+    parkedFrom[who] = from;
 }
 
 void
 MemorySyncFabric::trackUnpark(ProcId who)
 {
     if (tracer)
-        parkedProcs.erase(who);
+        parkedFrom[who] = notParked;
 }
 
 void
@@ -95,8 +98,8 @@ MemorySyncFabric::sampleTimeline(Tracer &t, Tick at) const
 bool
 MemorySyncFabric::isParked(ProcId who) const
 {
-    auto it = parkedProcs.find(who);
-    return it != parkedProcs.end() && it->second <= eventq.now();
+    // notParked is maxTick, which no tick reaches.
+    return who < parkedFrom.size() && parkedFrom[who] <= eventq.now();
 }
 
 SyncVarId

@@ -20,7 +20,6 @@
 #define PSYNC_SIM_SYNC_FABRIC_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <type_traits>
 #include <unordered_map>
@@ -324,16 +323,18 @@ class MemorySyncFabric : public SyncFabric, private Memory::PollSink
      * Spinner slots of the re-fetch bursts waiting for their poll
      * interval, oldest burst first.
      */
-    std::deque<std::uint32_t> refetchSlots;
+    Ring<std::uint32_t> refetchSlots;
 
     /**
      * Timeline-sampling shadow state, maintained only while a
-     * tracer is attached: blocked waiters per variable and, per
-     * processor currently parked (as opposed to polling), the tick
-     * it counts as parked from.
+     * tracer is attached: blocked waiters per variable (touched once
+     * per wait; samples are emitted in its iteration order) and, per
+     * processor, the tick it counts as parked (as opposed to
+     * polling) from, or notParked (touched twice per poll).
      */
+    static constexpr Tick notParked = maxTick;
     std::unordered_map<SyncVarId, unsigned> activeWaiters;
-    std::unordered_map<ProcId, Tick> parkedProcs;
+    std::vector<Tick> parkedFrom;
 
     stats::Scalar pollsStat;
     stats::Scalar writesStat;

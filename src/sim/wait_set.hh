@@ -1,6 +1,7 @@
 /**
  * @file
- * Handler slabs, slot-key heaps and per-variable wait sets.
+ * Handler slabs, FIFO rings, slot-key heaps and per-variable wait
+ * sets.
  *
  * A parked simulator operation (a spinning waitGE, a keyed access
  * parked at its module, a far-future event) stores its completion
@@ -8,9 +9,9 @@
  * it runs. Wait lists, heaps and event captures move only small
  * {rank, seq, slot} keys, never the 104-byte handlers.
  *
- * WaitSet orders a variable's waiters by threshold, so a release
- * touches only the waiters it satisfies. It hands them out in
- * arrival order, which is exactly the order a scan of a FIFO wait
+ * WaitSet keeps a variable's waiters sorted by threshold, so a
+ * release touches only the waiters it satisfies. It hands them out
+ * in arrival order, which is exactly the order a scan of a FIFO wait
  * list would have woken them in. A threshold-free releaseAll hands
  * waiters out by (rank, arrival) instead, so callers that park at
  * rank 0 get FIFO order and callers may rank parks by the tick they
@@ -91,6 +92,56 @@ class Slab
     std::uint32_t free_ = noSlot;
 };
 
+/**
+ * FIFO of trivially copyable T in a power-of-two circular buffer
+ * that doubles when full, so a steady state allocates nothing and
+ * pops never shift the buffer.
+ */
+template <typename T>
+class Ring
+{
+  public:
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+
+    T &front() { return items_[head_]; }
+    const T &front() const { return items_[head_]; }
+    T &back() { return items_[(head_ + count_ - 1) & mask()]; }
+
+    void
+    push_back(const T &item)
+    {
+        if (count_ == items_.size())
+            grow();
+        items_[(head_ + count_) & mask()] = item;
+        ++count_;
+    }
+
+    void
+    pop_front()
+    {
+        head_ = (head_ + 1) & mask();
+        --count_;
+    }
+
+  private:
+    std::size_t mask() const { return items_.size() - 1; }
+
+    void
+    grow()
+    {
+        std::vector<T> bigger(items_.empty() ? 16 : 2 * items_.size());
+        for (std::size_t i = 0; i < count_; ++i)
+            bigger[i] = items_[(head_ + i) & mask()];
+        items_.swap(bigger);
+        head_ = 0;
+    }
+
+    std::vector<T> items_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+};
+
 /** Heap key: ordered by (rank, seq); `slot` names the payload. */
 struct SlotKey
 {
@@ -125,9 +176,6 @@ class KeyHeap
 
     void clear() { keys_.clear(); }
 
-    /** The heap array (heap order), for whole-heap hand-offs. */
-    std::vector<SlotKey> &keys() { return keys_; }
-
   private:
     static bool
     later(const SlotKey &a, const SlotKey &b)
@@ -144,6 +192,12 @@ class KeyHeap
  * Waiters parked per synchronization variable, each a slot key whose
  * rank is the value that satisfies it. The caller owns the slots
  * (usually in a Slab); the set stores keys only.
+ *
+ * Each variable keeps one run of keys sorted by (rank, seq) behind a
+ * head cursor. Parks mostly arrive in non-decreasing rank (spinners
+ * ranked by the tick their polls completed), so a park appends or
+ * inserts a short way from the back, a release takes a prefix and a
+ * releaseAll hands the run out as it stands.
  */
 class WaitSet
 {
@@ -155,12 +209,21 @@ class WaitSet
     void
     park(SyncVarId var, SyncWord threshold, std::uint32_t slot)
     {
-        if (var >= heaps_.size()) {
-            heaps_.resize(var + 1);
-            lowest_.resize(var + 1, noWaiter);
+        if (var >= runs_.size())
+            runs_.resize(var + 1);
+        std::vector<SlotKey> &keys = runs_[var].keys;
+        SlotKey key{threshold, nextSeq_++, slot};
+        if (keys.empty() || keys.back().rank <= threshold) {
+            keys.push_back(key);
+            return;
         }
-        heaps_[var].push({threshold, nextSeq_++, slot});
-        lowest_[var] = std::min(lowest_[var], threshold);
+        // Out of order: file it after every key of an equal or lower
+        // rank (their seqs are all older).
+        auto pos = std::upper_bound(
+            keys.begin() + static_cast<std::ptrdiff_t>(runs_[var].head),
+            keys.end(), threshold,
+            [](SyncWord rank, const SlotKey &k) { return rank < k.rank; });
+        keys.insert(pos, key);
     }
 
     /**
@@ -172,18 +235,23 @@ class WaitSet
     void
     release(SyncVarId var, SyncWord value, Fn &&fn)
     {
-        if (var >= lowest_.size() || lowest_[var] > value)
+        if (var >= runs_.size())
             return;
-        KeyHeap &heap = heaps_[var];
+        Run &run = runs_[var];
+        std::size_t head = run.head;
+        std::size_t end = head;
+        while (end < run.keys.size() && run.keys[end].rank <= value)
+            ++end;
+        if (end == head)
+            return;
         std::vector<SlotKey> woken;
         woken.swap(scratch_);
-        while (!heap.empty() && heap.top().rank <= value)
-            woken.push_back(heap.pop());
-        lowest_[var] = heap.empty() ? noWaiter : heap.top().rank;
-        handOut(woken, std::forward<Fn>(fn),
-                [](const SlotKey &a, const SlotKey &b) {
-            return a.seq < b.seq;
-        });
+        woken.assign(run.keys.begin() + head, run.keys.begin() + end);
+        run.head = end;
+        compact(run);
+        if (!std::is_sorted(woken.begin(), woken.end(), bySeq))
+            std::sort(woken.begin(), woken.end(), bySeq);
+        handOut(woken, 0, std::forward<Fn>(fn));
     }
 
     /**
@@ -194,16 +262,20 @@ class WaitSet
     void
     releaseAll(SyncVarId var, Fn &&fn)
     {
-        if (var >= heaps_.size() || heaps_[var].empty())
+        if (var >= runs_.size())
             return;
+        Run &run = runs_[var];
+        std::size_t head = run.head;
+        if (head == run.keys.size())
+            return;
+        // The run is already in (rank, seq) order: hand it out as it
+        // stands, leaving the scratch buffer in its place.
         std::vector<SlotKey> woken;
         woken.swap(scratch_);
-        woken.swap(heaps_[var].keys());
-        lowest_[var] = noWaiter;
-        handOut(woken, std::forward<Fn>(fn), [](const SlotKey &a,
-                                                const SlotKey &b) {
-            return a.rank != b.rank ? a.rank < b.rank : a.seq < b.seq;
-        });
+        woken.clear();
+        woken.swap(run.keys);
+        run.head = 0;
+        handOut(woken, head, std::forward<Fn>(fn));
     }
 
     /** Waiters parked on every variable. */
@@ -211,8 +283,8 @@ class WaitSet
     size() const
     {
         std::size_t waiters = 0;
-        for (const KeyHeap &heap : heaps_)
-            waiters += heap.size();
+        for (const Run &run : runs_)
+            waiters += run.size();
         return waiters;
     }
 
@@ -221,38 +293,60 @@ class WaitSet
     void
     forEachVar(Fn &&fn) const
     {
-        for (std::size_t var = 0; var < heaps_.size(); ++var) {
-            if (!heaps_[var].empty())
-                fn(static_cast<SyncVarId>(var), heaps_[var].size());
+        for (std::size_t var = 0; var < runs_.size(); ++var) {
+            if (runs_[var].size() != 0)
+                fn(static_cast<SyncVarId>(var), runs_[var].size());
         }
     }
 
   private:
-    /** Call fn(slot) for each of `woken` in `order`. */
-    template <typename Fn, typename Order>
-    void
-    handOut(std::vector<SlotKey> &woken, Fn &&fn, Order order)
+    /** One variable's waiters: keys[head..] sorted by (rank, seq). */
+    struct Run
     {
-        // Keys pushed in non-decreasing rank stay in arrival order
-        // inside the heap array, so the common case needs no sort.
-        if (!std::is_sorted(woken.begin(), woken.end(), order))
-            std::sort(woken.begin(), woken.end(), order);
-        for (const SlotKey &key : woken)
-            fn(key.slot);
+        std::vector<SlotKey> keys;
+        std::size_t head = 0;
+
+        std::size_t size() const { return keys.size() - head; }
+    };
+
+    static bool
+    bySeq(const SlotKey &a, const SlotKey &b)
+    {
+        return a.seq < b.seq;
+    }
+
+    /**
+     * Drop the released keys before the head cursor once they are at
+     * least half the run, so each key is moved O(1) times.
+     */
+    static void
+    compact(Run &run)
+    {
+        if (run.head == run.keys.size()) {
+            run.keys.clear();
+            run.head = 0;
+        } else if (2 * run.head >= run.keys.size()) {
+            run.keys.erase(run.keys.begin(),
+                           run.keys.begin() +
+                               static_cast<std::ptrdiff_t>(run.head));
+            run.head = 0;
+        }
+    }
+
+    /** Call fn(slot) for each of woken[from..], in order. */
+    template <typename Fn>
+    void
+    handOut(std::vector<SlotKey> &woken, std::size_t from, Fn &&fn)
+    {
+        for (std::size_t i = from; i < woken.size(); ++i)
+            fn(woken[i].slot);
         woken.clear();
         // Keep the buffer's capacity for the next release; a nested
         // release from fn took (and may drop) a fresh one.
         scratch_.swap(woken);
     }
 
-    static constexpr SyncWord noWaiter = ~SyncWord{0};
-
-    std::vector<KeyHeap> heaps_;
-    /**
-     * Lowest waiting threshold per variable (noWaiter when none), so
-     * a release that wakes nobody reads one dense word.
-     */
-    std::vector<SyncWord> lowest_;
+    std::vector<Run> runs_;
     std::vector<SlotKey> scratch_;
     std::uint64_t nextSeq_ = 0;
 };

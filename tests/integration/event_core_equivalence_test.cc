@@ -6,8 +6,8 @@
  * event count) are compared as JSON across representative machines:
  * all four sync fabrics (register, memory, combining omega and
  * hierarchical clusters, the last two at P >= 64 where their wait
- * sets fill up), bus and omega interconnects, and the
- * butterfly-barrier FFT workload.
+ * sets fill up), the P=256 flat-memory hot spot, bus and omega
+ * interconnects, and the butterfly-barrier FFT workload.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench/registry.hh"
 #include "core/runtime.hh"
 #include "sync/barrier.hh"
 #include "workloads/fft.hh"
@@ -130,6 +131,18 @@ TEST(EventCoreEquivalenceTest, MemoryFabricCachedAndPollingSpin)
     polling.machine.cachedSpinning = false;
     expectCoresAgree(loop, sync::SchemeKind::referenceBased, polling,
                      "fig21/reference polling");
+}
+
+TEST(EventCoreEquivalenceTest, FlatMemoryHotSpotAtP256)
+{
+    // scale-1024/p256-flat-mem: every invalidation sends a few
+    // hundred spinners back to one module as a re-fetch burst, whose
+    // polls run as closed-form steps, mostly in place.
+    const bench::Scenario *s =
+        bench::findScenario("scale-1024/p256-flat-mem");
+    ASSERT_NE(s, nullptr);
+    expectCoresAgree(s->loop(), s->kind, s->config,
+                     "scale-1024/p256-flat-mem");
 }
 
 TEST(EventCoreEquivalenceTest, CombiningFabricAtP64)

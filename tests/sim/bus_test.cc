@@ -315,3 +315,32 @@ TEST(BusBurstTest, RunLimitStopsBeforeAStep)
     EXPECT_TRUE(rig.eq.run());
     EXPECT_EQ(rig.log.back(), "@18 proc 3");
 }
+
+TEST(BusBurstTest, UnrelatedEventAtADeliveryTick)
+{
+    // Deliveries fall at 12, 14, ..., 26. Events that touch no bus
+    // land on delivery ticks: one scheduled before the burst runs
+    // ahead of tick 16's delivery, one scheduled from tick 15 runs
+    // ahead of tick 20's (its delivery is granted at 18, later).
+    // Between them the burst's steps run in place.
+    auto scenario = [](BurstBusRig &rig) {
+        rig.eq.schedule(16, [&rig]() { rig.probe("unrelated"); });
+        rig.eq.schedule(10, [&rig]() {
+            for (ProcId who = 0; who < 8; ++who)
+                rig.a.issue(who);
+        });
+        rig.eq.schedule(15, [&rig]() {
+            rig.eq.schedule(20, [&rig]() { rig.probe("later"); });
+        });
+    };
+    expectBurstMatchesRequests(2, scenario);
+    BurstBusRig rig(true, 2);
+    scenario(rig);
+    EXPECT_TRUE(rig.eq.run());
+    EXPECT_EQ(rig.log[2], "@16 unrelated busy 6 max 7");
+    EXPECT_EQ(rig.log[3], "@16 proc 2");
+    EXPECT_EQ(rig.log[5], "@20 later busy 10 max 7");
+    EXPECT_EQ(rig.log[6], "@20 proc 4");
+    // Armed at 12, 16 and 20; the other five ran in place.
+    EXPECT_EQ(rig.eq.stepsArmed(), 3u);
+}

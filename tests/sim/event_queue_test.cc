@@ -371,24 +371,37 @@ TEST(EventCoreEquivalence, RandomScheduleIdenticalOnBothCores)
 
 namespace {
 
-/** Steps every `period` ticks, `left` more times, logging each. */
+/**
+ * Steps every `period` ticks, `left` more times, logging each. An
+ * `in_place` ticker runs its next step itself whenever the queue
+ * allows it (EventQueue::stepInline), as the data bus does.
+ */
 struct Ticker : EventQueue::Stepper
 {
     EventQueue &eq;
     Tick period;
     int left;
     std::vector<std::string> &log;
+    bool inPlace;
 
-    Ticker(EventQueue &q, Tick p, int n, std::vector<std::string> &out)
-        : eq(q), period(p), left(n), log(out)
+    Ticker(EventQueue &q, Tick p, int n, std::vector<std::string> &out,
+           bool in_place = false)
+        : eq(q), period(p), left(n), log(out), inPlace(in_place)
     {}
 
     void
     step() override
     {
-        log.push_back("step@" + std::to_string(eq.now()));
-        if (--left > 0)
-            eq.arm(*this, eq.now() + period);
+        for (;;) {
+            log.push_back("step@" + std::to_string(eq.now()));
+            if (--left == 0)
+                return;
+            Tick next = eq.now() + period;
+            if (!inPlace || !eq.stepInline(next)) {
+                eq.arm(*this, next);
+                return;
+            }
+        }
     }
 };
 
@@ -458,5 +471,89 @@ TEST(EventQueueTest, RunLimitAndClearCoverTheArmedStep)
         EXPECT_TRUE(eq.empty());
         EXPECT_TRUE(eq.run());
         EXPECT_EQ(log.size(), 1u);
+    }
+}
+
+TEST(EventQueueTest, InlineStepsYieldToEarlierEventsAtTheirTick)
+{
+    // A step runs in place only while it would precede every pending
+    // event. An event at the step's own tick scheduled before the
+    // step's arm point runs first, so the chain arms there; one
+    // scheduled after it runs second, as with an armed step.
+    for (auto core : {EventCoreKind::calendar, EventCoreKind::heap}) {
+        std::vector<std::string> logs[2];
+        std::uint64_t armed[2] = {0, 0};
+        for (int in_place = 0; in_place < 2; ++in_place) {
+            EventQueue eq(core);
+            std::vector<std::string> &log = logs[in_place];
+            Ticker ticker(eq, 3, 8, log, in_place != 0);
+            auto note = [&](const char *what) {
+                log.push_back(std::string(what) + "@" +
+                              std::to_string(eq.now()));
+            };
+            // Chain ticks: 5, 8, ..., 26.
+            eq.schedule(8, [&]() { note("early"); });
+            eq.schedule(2, [&]() { eq.arm(ticker, 5); });
+            eq.schedule(7, [&]() {
+                eq.schedule(8, [&]() { note("late"); });
+            });
+            eq.schedule(20, [&]() { note("same"); });
+            eq.schedule(2000, [&]() { note("far"); });
+            EXPECT_TRUE(eq.run());
+            EXPECT_TRUE(eq.empty());
+            armed[in_place] = eq.stepsArmed();
+            EXPECT_EQ(eq.eventsExecuted(), 6u);
+        }
+        EXPECT_EQ(logs[1], logs[0]) << eventCoreKindName(core);
+        EXPECT_EQ(logs[1], (std::vector<std::string>{
+                               "step@5", "early@8", "step@8", "late@8",
+                               "step@11", "step@14", "step@17",
+                               "same@20", "step@20", "step@23",
+                               "step@26", "far@2000"}))
+            << eventCoreKindName(core);
+        // Armed at 5, 8, 11 (late@8 was still pending when step@8
+        // ran) and 20; 14, 17, 23 and 26 ran in place.
+        EXPECT_EQ(armed[0], 8u);
+        EXPECT_EQ(armed[1], 4u) << eventCoreKindName(core);
+    }
+}
+
+TEST(EventQueueTest, InlineStepsNeverPassTheRunLimit)
+{
+    // A run chopped into chunks (as timeline sampling runs) stops at
+    // each limit with no step past it, and ends with the log of an
+    // unchunked run.
+    for (auto core : {EventCoreKind::calendar, EventCoreKind::heap}) {
+        auto schedule = [](EventQueue &eq, Ticker &ticker,
+                           std::vector<std::string> &log) {
+            eq.schedule(2, [&eq, &ticker]() { eq.arm(ticker, 5); });
+            eq.schedule(17, [&eq, &log]() {
+                log.push_back("event@" + std::to_string(eq.now()));
+            });
+        };
+        std::vector<std::string> whole;
+        {
+            EventQueue eq(core);
+            Ticker ticker(eq, 3, 12, whole, true);
+            schedule(eq, ticker, whole);
+            EXPECT_TRUE(eq.run());
+        }
+        for (Tick chunk : {Tick(1), Tick(2), Tick(4), Tick(7)}) {
+            std::vector<std::string> log;
+            EventQueue eq(core);
+            Ticker ticker(eq, 3, 12, log, true);
+            schedule(eq, ticker, log);
+            Tick limit = 0;
+            while (!eq.run(limit += chunk)) {
+                EXPECT_EQ(eq.now(), limit);
+                for (const std::string &entry : log) {
+                    Tick at = std::stoull(entry.substr(entry.find('@') + 1));
+                    EXPECT_LE(at, limit) << entry;
+                }
+            }
+            EXPECT_EQ(log, whole)
+                << eventCoreKindName(core) << " chunk " << chunk;
+        }
+        EXPECT_EQ(whole.size(), 13u);
     }
 }

@@ -583,3 +583,34 @@ TEST(MemoryBurstTest, OmegaDataNetPollsOneByOne)
         });
     });
 }
+
+TEST(MemoryBurstTest, UnrelatedEventAtADeliveryTick)
+{
+    // Polls arrive at 12, 14, ..., 26. Events that touch neither bus
+    // nor memory land on arrival ticks, one scheduled before the
+    // burst and one from inside its window; each samples the bus
+    // and modules where it runs, between the steps that run in
+    // place.
+    auto scenario = [](BurstRig &rig) {
+        rig.mem.poke(0, 1);
+        rig.eq.schedule(16, [&rig]() {
+            rig.note("unrelated");
+            rig.sample();
+        });
+        rig.eq.schedule(10, [&rig]() { rig.polls(0, 0, 8, 2); });
+        rig.eq.schedule(15, [&rig]() {
+            rig.eq.schedule(20, [&rig]() {
+                rig.note("later");
+                rig.sample();
+            });
+        });
+    };
+    EXPECT_EQ(expectBurstMatchesPolls(2, scenario), 8u);
+    BurstRig rig(true, 2);
+    scenario(rig);
+    EXPECT_TRUE(rig.eq.run());
+    EXPECT_EQ(rig.log[2], "@16 unrelated");
+    EXPECT_EQ(rig.log[3], "@16 poll 2 read 1 done 24");
+    // Armed at 12, 16 and 20; the other five ran in place.
+    EXPECT_EQ(rig.eq.stepsArmed(), 3u);
+}

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -172,4 +173,139 @@ TEST(WaitSetTest, SlabSlotsAreReusedWithoutGrowth)
         ASSERT_EQ(slab.capacity(), capacity) << "round " << round;
     }
     EXPECT_EQ(capacity, waiters);
+}
+
+TEST(WaitSetTest, HotSpotParksComeOutOfReleaseAllByRankThenArrival)
+{
+    // A hot spot's re-fetch burst: polls that settle at the module
+    // park on arrival, ranked by their later completion tick, while
+    // polls still in service park when they complete, at an earlier
+    // rank. The run takes the late parks out of order.
+    WaitSet waits;
+    std::vector<std::pair<SyncWord, std::uint32_t>> parks = {
+        {40, 0}, {44, 1}, {36, 2}, {48, 3}, {40, 4}, {52, 5},
+        {37, 6}, {52, 7}, {30, 8}, {56, 9}, {44, 10}, {60, 11},
+    };
+    for (auto [rank, slot] : parks)
+        waits.park(3, rank, slot);
+    std::vector<std::uint32_t> slots;
+    waits.releaseAll(3, [&](std::uint32_t s) { slots.push_back(s); });
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{8, 2, 6, 0, 4, 1, 10,
+                                                 3, 5, 7, 9, 11}));
+    EXPECT_EQ(waits.size(), 0u);
+}
+
+TEST(WaitSetTest, ReleaseHandsOutArrivalOrderWithParksFromFn)
+{
+    // fn parks new waiters, some already satisfied by the value
+    // being released; they wait for the next release, which again
+    // hands out by arrival, not by threshold.
+    WaitSet waits;
+    waits.park(0, 9, 0);
+    waits.park(0, 2, 1);
+    waits.park(0, 7, 2);
+    waits.park(0, 4, 3);
+    std::vector<std::uint32_t> slots;
+    waits.release(0, 8, [&](std::uint32_t slot) {
+        slots.push_back(slot);
+        waits.park(0, 10 - slot, slot + 10);
+    });
+    EXPECT_EQ(slots, (std::vector<std::uint32_t>{1, 2, 3}));
+    EXPECT_EQ(waits.size(), 4u);
+    EXPECT_EQ(released(waits, 0, 9),
+              (std::vector<std::uint32_t>{0, 11, 12, 13}));
+    EXPECT_EQ(waits.size(), 0u);
+}
+
+TEST(WaitSetTest, CompactingTheHeadCursorPreservesOrder)
+{
+    // Partial releases walk the head cursor far into the run and
+    // compact it; later parks, including out-of-order ones, land
+    // among the survivors as if nothing had been released.
+    WaitSet waits;
+    for (std::uint32_t slot = 0; slot < 100; ++slot)
+        waits.park(5, slot, slot);
+    for (SyncWord value = 9; value < 80; value += 10) {
+        std::vector<std::uint32_t> slots = released(waits, 5, value);
+        ASSERT_EQ(slots.size(), 10u);
+        EXPECT_EQ(slots.front(), value - 9);
+        EXPECT_EQ(slots.back(), value);
+    }
+    EXPECT_EQ(waits.size(), 20u);
+    waits.park(5, 85, 200);
+    waits.park(5, 120, 201);
+    waits.park(5, 85, 202);
+    std::vector<std::uint32_t> slots;
+    waits.releaseAll(5, [&](std::uint32_t s) { slots.push_back(s); });
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t slot = 80; slot < 100; ++slot) {
+        want.push_back(slot);
+        if (slot == 85) {
+            want.push_back(200);
+            want.push_back(202);
+        }
+    }
+    want.push_back(201);
+    EXPECT_EQ(slots, want);
+}
+
+TEST(WaitSetTest, MatchesAFifoWaitListUnderRandomTraffic)
+{
+    // The contract against its reference: a FIFO list per variable,
+    // where release wakes the satisfied waiters in list order and
+    // releaseAll wakes everyone stably sorted by rank.
+    struct Waiter
+    {
+        SyncWord rank;
+        std::uint32_t slot;
+    };
+    WaitSet waits;
+    std::vector<std::vector<Waiter>> lists(3);
+    std::uint64_t state = 12345;
+    auto next = [&](std::uint64_t bound) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % bound;
+    };
+    std::uint32_t slot = 0;
+    for (int op = 0; op < 5000; ++op) {
+        auto var = static_cast<SyncVarId>(next(3));
+        std::vector<Waiter> &list = lists[var];
+        std::uint64_t kind = next(10);
+        if (kind < 7) {
+            // Mostly rising ranks, sometimes a step back.
+            SyncWord rank = op / 4 + next(8);
+            waits.park(var, rank, slot);
+            list.push_back({rank, slot++});
+            continue;
+        }
+        std::vector<std::uint32_t> want;
+        std::vector<std::uint32_t> got;
+        if (kind < 9) {
+            SyncWord value = op / 4 + next(8);
+            std::vector<Waiter> kept;
+            for (const Waiter &w : list) {
+                if (w.rank <= value)
+                    want.push_back(w.slot);
+                else
+                    kept.push_back(w);
+            }
+            list.swap(kept);
+            got = released(waits, var, value);
+        } else {
+            std::stable_sort(list.begin(), list.end(),
+                             [](const Waiter &a, const Waiter &b) {
+                return a.rank < b.rank;
+            });
+            for (const Waiter &w : list)
+                want.push_back(w.slot);
+            list.clear();
+            waits.releaseAll(var,
+                             [&](std::uint32_t s) { got.push_back(s); });
+        }
+        ASSERT_EQ(got, want) << "op " << op;
+        std::size_t total = 0;
+        for (const auto &l : lists)
+            total += l.size();
+        ASSERT_EQ(waits.size(), total) << "op " << op;
+    }
 }
